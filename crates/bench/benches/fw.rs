@@ -65,11 +65,10 @@ fn bench_fw(c: &mut Criterion) {
     );
     group.finish();
 
-    // Structural gauges: the flattened plan's wave count vs the barrier count
-    // of the old fork-driven recursion.  Plan structure is machine-independent,
-    // so gauge a representative multi-processor plan even on a 1-core box
-    // (where the pool — and hence the executed run below — degenerates to
-    // p = 1).
+    // Structural gauges: the flattened plan's wave and step counts.  Plan
+    // structure is machine-independent, so gauge a representative
+    // multi-processor plan even on a 1-core box (where the pool — and hence
+    // the executed run below — degenerates to p = 1).
     let p_repr = session.p().max(8);
     let fw = plan_fw(n, p_repr, DEFAULT_BASE);
     criterion::record_metric(
@@ -77,10 +76,6 @@ fn bench_fw(c: &mut Criterion) {
         fw.plan.barriers() as f64,
     );
     criterion::record_metric(format!("fw/plan-steps-p{p_repr}"), fw.plan.steps() as f64);
-    criterion::record_metric(
-        format!("fw/recursive-fork-barriers-p{p_repr}"),
-        fw.fork_barriers as f64,
-    );
     let before = paco_core::metrics::sched::kernel::snapshot();
     std::hint::black_box(session.run(Apsp { adj: apsp.clone() }));
     let stats = session.last_stats();

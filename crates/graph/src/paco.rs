@@ -10,22 +10,39 @@
 //!
 //! Since PR 3 the recursion is no longer *executed* directly: [`plan_fw`]
 //! replays it **symbolically** and compiles it into a wave-based
-//! [`Plan`]`<`[`LeafCall`]`>` (see [`paco_runtime::schedule`]).  The old
-//! executor paid one full pool barrier per `fork2` and per off-processor leaf
-//! spawn — linear in the recursion depth per phase (the PR 2 ROADMAP item).
+//! [`Plan`]`<`[`LeafCall`]`>` (see [`paco_runtime::schedule`]), one pool
+//! barrier per wave.
 //!
-//! The wave assignment is **dependency-exact** (PR 7; modelled on
-//! `build_waves` in the LCS partitioner): the replay records every leaf in
-//! program order together with its read and write footprint on the closure
-//! table, coordinate-compresses the rectangle boundaries into a grid, and
-//! places each leaf in the earliest wave consistent with the actual data flow
-//! — a read must follow the footprint's last writer (same wave only when both
-//! run on the same worker, whose in-wave FIFO preserves program order), and a
-//! write must follow every read since the previous write.  Earlier revisions
-//! instead advanced a per-processor wave clock on every cross-processor
-//! hand-off, which serialized independent blocks that merely *met* at a front
-//! join.  [`FwPlan::fork_barriers`] still preserves the pre-plan executor's
-//! barrier count so the flattening is regression-testable.
+//! The wave assignment (`layer`) is **dependency-exact and sibling-aligned**.
+//! The replay records every leaf in program order together with its read and
+//! write footprint on the closure table and, per fork, which leaves each of
+//! its two branches recorded.  Footprint boundaries are coordinate-compressed
+//! into a grid and each leaf lands in the earliest wave that
+//!
+//! * follows the actual data flow — a read after the footprint's last writer,
+//!   a write after every read since the previous write, **same wave only when
+//!   both run on the same worker** (its in-wave FIFO preserves program
+//!   order).  This `+ 0` is what folds a worker's private B→D→B→D chain into
+//!   one wave instead of four;
+//! * is not before the **floor of any enclosing fork**: the later of the two
+//!   waves the fork's branches could start in.  Without it the `+ 0` pulls B
+//!   into A's wave on `p0` while its sibling C waits one wave on `p1`, and
+//!   from then on each side only consumes what the other produced a wave
+//!   earlier: at `p = 2` every wave held work for one processor.
+//!
+//! Two rules in the recursion keep the waves full once siblings start
+//! together.  A `D` called from inside `B` breaks a `rows == cols` tie toward
+//! *columns*, so B's workers keep their column strips through every phase the
+//! way C's keep their row strips (swapping strips made B take four waves
+//! where the symmetric C took one).  And a range shared out over
+//! `procs.split_even()` — D's row/column cuts, B's and C's strip cuts — is cut
+//! in the ratio `⌊p/2⌋ : ⌈p/2⌉` of the list halves that will work on it, the
+//! paper's 1-PIECE rule, not in half; the via halvings, which only set
+//! recursion order, stay even.  The wave count is then independent of `p` up
+//! to rounding (61 at `n/base = 12` for powers of two, 65 otherwise), and
+//! [`Plan::profile`] with [`LeafCall::cost`] reads 0.992 / 0.970 / 0.889 of
+//! perfect at `p` = 2 / 4 / 8 — what the same leaves on the same owners would
+//! reach with no barriers at all.
 //!
 //! Entry points:
 //!
@@ -196,6 +213,18 @@ impl LeafCall {
         }
     }
 
+    /// Semiring relaxations the leaf performs — the unit
+    /// [`Plan::profile`] weighs Floyd–Warshall plans in.
+    pub fn cost(&self) -> u64 {
+        let volume = match self {
+            LeafCall::A { r } => r.len().pow(3),
+            LeafCall::B { v, cols } => v.len().pow(2) * cols.len(),
+            LeafCall::C { v, rows } => v.len().pow(2) * rows.len(),
+            LeafCall::D { rows, cols, via } => rows.len() * cols.len() * via.len(),
+        };
+        volume as u64
+    }
+
     /// The rectangles of the closure table this leaf reads (a superset of the
     /// cells it writes — every role is an in-place `⊕=` update).
     ///
@@ -226,16 +255,11 @@ impl LeafCall {
     }
 }
 
-/// The compiled Floyd–Warshall schedule plus the barrier count of the
-/// pre-plan recursive executor, for regression tests and reports.
+/// The compiled Floyd–Warshall schedule.
 #[derive(Debug, Clone)]
 pub struct FwPlan {
     /// The wave-flattened schedule.
     pub plan: Plan<LeafCall>,
-    /// Barriers the old `fork2`-driven executor would have issued for the
-    /// same recursion: one per fork plus one per leaf spawned onto a
-    /// processor other than the one already executing the recursion.
-    pub fork_barriers: usize,
 }
 
 /// Compile the PACO Floyd–Warshall recursion for an `n × n` instance on `p`
@@ -243,30 +267,30 @@ pub struct FwPlan {
 ///
 /// The recursion is replayed symbolically to a program-ordered leaf list
 /// (preserving the 1-PIECE processor assignment), then each leaf is layered
-/// into the earliest wave its exact read/write footprint allows — see the
-/// module docs.  The schedule depends only on `(n, p, base)`, never on the
-/// matrix entries.
+/// into the earliest wave its exact read/write footprint and its enclosing
+/// forks allow — see the module docs.  The schedule depends only on
+/// `(n, p, base)`, never on the matrix entries.
 pub fn plan_fw(n: usize, p: usize, base: usize) -> FwPlan {
     assert!(p >= 1);
     assert!(base >= 1);
     let mut rec = Recorder {
         leaves: Vec::new(),
+        forks: Vec::new(),
         base,
-        fork_barriers: 0,
     };
-    rec.a(None, ProcList::all(p), 0..n);
+    rec.a(ProcList::all(p), 0..n);
     FwPlan {
-        plan: layer(p, rec.leaves),
-        fork_barriers: rec.fork_barriers,
+        plan: layer(p, rec.leaves, &rec.forks),
     }
 }
 
-/// Dependency-exact wave assignment for a program-ordered leaf list.
+/// Dependency-exact, sibling-aligned wave assignment for a program-ordered
+/// leaf list.
 ///
 /// Every rectangle boundary is coordinate-compressed into grid lines, so each
 /// footprint is an exact union of grid cells.  Per cell we track the last
 /// write `(wave, proc)` and the reads since it `(max wave, proc, mixed)`;
-/// a leaf on worker `q` lands at
+/// the *dependency depth* of a leaf on worker `q` is
 ///
 /// * `≥ wave(writer) + 1` for every read cell whose writer ran elsewhere
 ///   (`+ 0` on the same worker: in-wave FIFO keeps program order), covering
@@ -274,9 +298,24 @@ pub fn plan_fw(n: usize, p: usize, base: usize) -> FwPlan {
 /// * `≥ wave(reader) + 1` for every written cell read elsewhere since its
 ///   last write (WAR; `mixed` readers conservatively cost the `+ 1`).
 ///
+/// The `+ 0` is what folds a worker's private B→D→B→D chain into one wave,
+/// so it stays.  Alone, though, it also pulls B into A's wave on `p0` while
+/// its sibling C waits a wave on `p1`, and from then on the two sides only
+/// ever consume what the other produced a wave earlier — no wave holds work
+/// for both.  So each fork `(first, second, end)` with two non-empty
+/// branches sets a **floor** when layering reaches its first leaf: the larger
+/// dependency depth of the two branches' first leaves, against the grid as
+/// it stands at fork entry (forks opening on the same leaf are recorded, and
+/// so opened, outermost first).  A leaf lands at the maximum of its own
+/// dependency depth and every enclosing floor: siblings start together.
+///
 /// Waves are emitted in program order, so same-worker steps inside one wave
 /// replay the recursion's sequential order.
-fn layer(p: usize, leaves: Vec<(ProcId, LeafCall)>) -> Plan<LeafCall> {
+fn layer(
+    p: usize,
+    leaves: Vec<(ProcId, LeafCall)>,
+    forks: &[(usize, usize, usize)],
+) -> Plan<LeafCall> {
     if leaves.is_empty() {
         return Plan::empty(p);
     }
@@ -305,13 +344,9 @@ fn layer(p: usize, leaves: Vec<(ProcId, LeafCall)>) -> Plan<LeafCall> {
         /// `(max wave, proc, mixed)` of the reads since the last write.
         readers: Option<(usize, ProcId, bool)>,
     }
-    let mut grid: Vec<Cell> = vec![Cell::default(); m * m];
-    let mut depths = Vec::with_capacity(leaves.len());
-    for (q, call) in &leaves {
-        let reads = call.read_rects();
-        let (w_rows, w_cols) = call.write_rect();
+    let dependency_depth = |grid: &[Cell], (q, call): &(ProcId, LeafCall)| -> usize {
         let mut d = 0usize;
-        for (rows, cols) in &reads {
+        for (rows, cols) in &call.read_rects() {
             for ri in span(rows) {
                 for ci in span(cols) {
                     if let Some((wd, wp)) = grid[ri * m + ci].writer {
@@ -320,6 +355,7 @@ fn layer(p: usize, leaves: Vec<(ProcId, LeafCall)>) -> Plan<LeafCall> {
                 }
             }
         }
+        let (w_rows, w_cols) = call.write_rect();
         for ri in span(&w_rows) {
             for ci in span(&w_cols) {
                 if let Some((rd, rp, mixed)) = grid[ri * m + ci].readers {
@@ -327,7 +363,30 @@ fn layer(p: usize, leaves: Vec<(ProcId, LeafCall)>) -> Plan<LeafCall> {
                 }
             }
         }
-        for (rows, cols) in &reads {
+        d
+    };
+    let mut grid: Vec<Cell> = vec![Cell::default(); m * m];
+    let mut depths = Vec::with_capacity(leaves.len());
+    // `(end, floor)` of the forks enclosing the current leaf, innermost last;
+    // each floor already includes the ones below it.
+    let mut floors: Vec<(usize, usize)> = Vec::new();
+    let mut forks = forks.iter().peekable();
+    for (i, leaf) in leaves.iter().enumerate() {
+        while floors.last().is_some_and(|&(end, _)| end <= i) {
+            floors.pop();
+        }
+        let own = dependency_depth(&grid, leaf);
+        while let Some(&(_, second, end)) = forks.next_if(|f| f.0 == i) {
+            if i < second && second < end {
+                let floor = own
+                    .max(dependency_depth(&grid, &leaves[second]))
+                    .max(floors.last().map_or(0, |f| f.1));
+                floors.push((end, floor));
+            }
+        }
+        let d = own.max(floors.last().map_or(0, |f| f.1));
+        let (q, call) = leaf;
+        for (rows, cols) in &call.read_rects() {
             for ri in span(rows) {
                 for ci in span(cols) {
                     let cell = &mut grid[ri * m + ci];
@@ -338,6 +397,7 @@ fn layer(p: usize, leaves: Vec<(ProcId, LeafCall)>) -> Plan<LeafCall> {
                 }
             }
         }
+        let (w_rows, w_cols) = call.write_rect();
         for ri in span(&w_rows) {
             for ci in span(&w_cols) {
                 grid[ri * m + ci] = Cell {
@@ -356,235 +416,148 @@ fn layer(p: usize, leaves: Vec<(ProcId, LeafCall)>) -> Plan<LeafCall> {
     Plan::from_waves(p, waves)
 }
 
-/// Symbolic replay of the A/B/C/D recursion to a program-ordered leaf list.
+/// Cut `r` in the ratio `|p1| : |p2|` of `procs.split_even()` — the paper's
+/// 1-PIECE rule: data is divided like the processor list that will work on
+/// it.  Identical to [`halves`] whenever the list splits evenly.
+fn cut(procs: ProcList, r: &Range<usize>) -> (ProcList, ProcList, Range<usize>, Range<usize>) {
+    let (p1, p2) = procs.split_even();
+    let mid = r.start + r.len() * p1.len() / procs.len();
+    (p1, p2, r.start..mid, mid..r.end)
+}
+
+/// Symbolic replay of the A/B/C/D recursion to a program-ordered leaf list
+/// plus, per fork, the leaf-index ranges of its two branches.
 ///
-/// `cur` tracks which processor the old executor would have been running on
-/// (the 1-PIECE "own branch runs inline" rule) — it no longer influences the
-/// schedule, only the [`FwPlan::fork_barriers`] accounting.  Program order is
-/// a valid serialization of the recursion (it is exactly the order `fw_seq`
-/// relaxes in), so the layering above can use it as its topological baseline.
+/// Program order is a valid serialization of the recursion (it is exactly the
+/// order `fw_seq` relaxes in), so the layering above can use it as its
+/// topological baseline.  D's row/column cuts and the strip cuts of B and C
+/// are proportional ([`cut`]); the via/`v` halvings only set recursion
+/// *order* and stay even, as does the quadrant cut of B and C.
 struct Recorder {
     leaves: Vec<(ProcId, LeafCall)>,
+    /// `(first, second, end)`: branch one recorded leaves `first..second`,
+    /// branch two `second..end`.  In fork-entry (pre-) order.
+    forks: Vec<(usize, usize, usize)>,
     base: usize,
-    fork_barriers: usize,
 }
 
 impl Recorder {
-    fn leaf(&mut self, cur: Option<ProcId>, proc: ProcId, call: LeafCall) {
-        if cur != Some(proc) {
-            // The old executor opened a scope to spawn a leaf it was not
-            // already running on.
-            self.fork_barriers += 1;
-        }
+    fn leaf(&mut self, proc: ProcId, call: LeafCall) {
         self.leaves.push((proc, call));
     }
 
-    /// Two parallel branches on the two halves of the processor list; the old
-    /// executor's `fork2` was one barrier regardless of `cur`.
-    fn fork(
-        &mut self,
-        p1: ProcList,
-        f1: impl FnOnce(&mut Self, Option<ProcId>),
-        p2: ProcList,
-        f2: impl FnOnce(&mut Self, Option<ProcId>),
-    ) {
-        self.fork_barriers += 1;
-        f1(self, Some(p1.first()));
-        f2(self, Some(p2.first()));
+    /// Two parallel branches on the two halves of a processor list.
+    fn fork(&mut self, f1: impl FnOnce(&mut Self), f2: impl FnOnce(&mut Self)) {
+        let slot = self.forks.len();
+        let first = self.leaves.len();
+        self.forks.push((first, first, first));
+        f1(self);
+        let second = self.leaves.len();
+        f2(self);
+        self.forks[slot] = (first, second, self.leaves.len());
     }
 
     /// The A role: close the diagonal block `r × r`.
-    fn a(&mut self, cur: Option<ProcId>, procs: ProcList, r: Range<usize>) {
+    fn a(&mut self, procs: ProcList, r: Range<usize>) {
         if r.is_empty() {
             return;
         }
         if procs.len() == 1 || r.len() <= self.base {
-            return self.leaf(cur, procs.first(), LeafCall::A { r });
+            return self.leaf(procs.first(), LeafCall::A { r });
         }
         let (r1, r2) = halves(&r);
         let (p1, p2) = procs.split_even();
         // Phase 1: via ∈ r1.  B and C write disjoint off-diagonal blocks.
-        self.a(cur, procs, r1.clone());
-        {
-            let (r1b, r2b) = (r1.clone(), r2.clone());
-            let (r1c, r2c) = (r1.clone(), r2.clone());
-            self.fork(
-                p1,
-                |s, c| s.b_role(c, p1, r1b, r2b),
-                p2,
-                |s, c| s.c_role(c, p2, r1c, r2c),
-            );
-        }
-        self.d(cur, procs, r2.clone(), r2.clone(), r1.clone());
+        self.a(procs, r1.clone());
+        self.fork(
+            |s| s.b_role(p1, r1.clone(), r2.clone()),
+            |s| s.c_role(p2, r1.clone(), r2.clone()),
+        );
+        self.d(procs, r2.clone(), r2.clone(), r1.clone(), false);
         // Phase 2: via ∈ r2.
-        self.a(cur, procs, r2.clone());
-        {
-            let (r2b, r1b) = (r2.clone(), r1.clone());
-            let (r2c, r1c) = (r2.clone(), r1.clone());
-            self.fork(
-                p1,
-                |s, c| s.b_role(c, p1, r2b, r1b),
-                p2,
-                |s, c| s.c_role(c, p2, r2c, r1c),
-            );
-        }
-        self.d(cur, procs, r1.clone(), r1, r2);
+        self.a(procs, r2.clone());
+        self.fork(
+            |s| s.b_role(p1, r2.clone(), r1.clone()),
+            |s| s.c_role(p2, r2.clone(), r1.clone()),
+        );
+        self.d(procs, r1.clone(), r1.clone(), r2.clone(), false);
     }
 
-    /// The B role: close the row-aligned block `v × cols`.
-    fn b_role(
-        &mut self,
-        cur: Option<ProcId>,
-        procs: ProcList,
-        v: Range<usize>,
-        cols: Range<usize>,
-    ) {
+    /// The B role: close the row-aligned block `v × cols`.  Its processors
+    /// own column strips, through the nested D updates too (`tie_cols`).
+    fn b_role(&mut self, procs: ProcList, v: Range<usize>, cols: Range<usize>) {
         if v.is_empty() || cols.is_empty() {
             return;
         }
         if procs.len() == 1 || (v.len() <= self.base && cols.len() <= self.base) {
-            return self.leaf(cur, procs.first(), LeafCall::B { v, cols });
+            return self.leaf(procs.first(), LeafCall::B { v, cols });
         }
         if v.len() <= self.base {
-            let (c1, c2) = halves(&cols);
-            let (p1, p2) = procs.split_even();
-            let (va, vb) = (v.clone(), v);
+            let (p1, p2, c1, c2) = cut(procs, &cols);
             return self.fork(
-                p1,
-                |s, c| s.b_role(c, p1, va, c1),
-                p2,
-                |s, c| s.b_role(c, p2, vb, c2),
+                |s| s.b_role(p1, v.clone(), c1),
+                |s| s.b_role(p2, v.clone(), c2),
             );
         }
         let (v1, v2) = halves(&v);
         if cols.len() <= self.base {
-            self.b_role(cur, procs, v1.clone(), cols.clone());
-            self.d(cur, procs, v2.clone(), cols.clone(), v1.clone());
-            self.b_role(cur, procs, v2.clone(), cols.clone());
-            return self.d(cur, procs, v1, cols, v2);
+            self.b_role(procs, v1.clone(), cols.clone());
+            self.d(procs, v2.clone(), cols.clone(), v1.clone(), true);
+            self.b_role(procs, v2.clone(), cols.clone());
+            return self.d(procs, v1, cols, v2, true);
         }
+        // The quadrant cut stays even: a larger share for the larger list is
+        // stranded on one worker as soon as its block reaches `base`.
         let (c1, c2) = halves(&cols);
         let (p1, p2) = procs.split_even();
-        // Phase 1: via ∈ v1.
-        {
-            let (va, vb) = (v1.clone(), v1.clone());
-            let (ca, cb) = (c1.clone(), c2.clone());
+        // Phase 1: via ∈ v1, then phase 2: via ∈ v2.
+        for (via, rest) in [(&v1, &v2), (&v2, &v1)] {
             self.fork(
-                p1,
-                |s, c| s.b_role(c, p1, va, ca),
-                p2,
-                |s, c| s.b_role(c, p2, vb, cb),
+                |s| s.b_role(p1, via.clone(), c1.clone()),
+                |s| s.b_role(p2, via.clone(), c2.clone()),
             );
-        }
-        {
-            let (ra, rb) = (v2.clone(), v2.clone());
-            let (ca, cb) = (c1.clone(), c2.clone());
-            let (wa, wb) = (v1.clone(), v1.clone());
             self.fork(
-                p1,
-                |s, c| s.d(c, p1, ra, ca, wa),
-                p2,
-                |s, c| s.d(c, p2, rb, cb, wb),
-            );
-        }
-        // Phase 2: via ∈ v2.
-        {
-            let (va, vb) = (v2.clone(), v2.clone());
-            let (ca, cb) = (c1.clone(), c2.clone());
-            self.fork(
-                p1,
-                |s, c| s.b_role(c, p1, va, ca),
-                p2,
-                |s, c| s.b_role(c, p2, vb, cb),
-            );
-        }
-        {
-            let (ra, rb) = (v1.clone(), v1);
-            let (wa, wb) = (v2.clone(), v2);
-            self.fork(
-                p1,
-                |s, c| s.d(c, p1, ra, c1, wa),
-                p2,
-                |s, c| s.d(c, p2, rb, c2, wb),
+                |s| s.d(p1, rest.clone(), c1.clone(), via.clone(), true),
+                |s| s.d(p2, rest.clone(), c2.clone(), via.clone(), true),
             );
         }
     }
 
-    /// The C role: close the column-aligned block `rows × v`.
-    fn c_role(
-        &mut self,
-        cur: Option<ProcId>,
-        procs: ProcList,
-        v: Range<usize>,
-        rows: Range<usize>,
-    ) {
+    /// The C role: close the column-aligned block `rows × v`.  Its
+    /// processors own row strips.
+    fn c_role(&mut self, procs: ProcList, v: Range<usize>, rows: Range<usize>) {
         if v.is_empty() || rows.is_empty() {
             return;
         }
         if procs.len() == 1 || (v.len() <= self.base && rows.len() <= self.base) {
-            return self.leaf(cur, procs.first(), LeafCall::C { v, rows });
+            return self.leaf(procs.first(), LeafCall::C { v, rows });
         }
         if v.len() <= self.base {
-            let (r1, r2) = halves(&rows);
-            let (p1, p2) = procs.split_even();
-            let (va, vb) = (v.clone(), v);
+            let (p1, p2, r1, r2) = cut(procs, &rows);
             return self.fork(
-                p1,
-                |s, c| s.c_role(c, p1, va, r1),
-                p2,
-                |s, c| s.c_role(c, p2, vb, r2),
+                |s| s.c_role(p1, v.clone(), r1),
+                |s| s.c_role(p2, v.clone(), r2),
             );
         }
         let (v1, v2) = halves(&v);
         if rows.len() <= self.base {
-            self.c_role(cur, procs, v1.clone(), rows.clone());
-            self.d(cur, procs, rows.clone(), v2.clone(), v1.clone());
-            self.c_role(cur, procs, v2.clone(), rows.clone());
-            return self.d(cur, procs, rows, v1, v2);
+            self.c_role(procs, v1.clone(), rows.clone());
+            self.d(procs, rows.clone(), v2.clone(), v1.clone(), false);
+            self.c_role(procs, v2.clone(), rows.clone());
+            return self.d(procs, rows, v1, v2, false);
         }
+        // Even quadrant cut, as in `b_role`.
         let (r1, r2) = halves(&rows);
         let (p1, p2) = procs.split_even();
-        // Phase 1: via ∈ v1.
-        {
-            let (va, vb) = (v1.clone(), v1.clone());
-            let (ra, rb) = (r1.clone(), r2.clone());
+        // Phase 1: via ∈ v1, then phase 2: via ∈ v2.
+        for (via, rest) in [(&v1, &v2), (&v2, &v1)] {
             self.fork(
-                p1,
-                |s, c| s.c_role(c, p1, va, ra),
-                p2,
-                |s, c| s.c_role(c, p2, vb, rb),
+                |s| s.c_role(p1, via.clone(), r1.clone()),
+                |s| s.c_role(p2, via.clone(), r2.clone()),
             );
-        }
-        {
-            let (ra, rb) = (r1.clone(), r2.clone());
-            let (ca, cb) = (v2.clone(), v2.clone());
-            let (wa, wb) = (v1.clone(), v1.clone());
             self.fork(
-                p1,
-                |s, c| s.d(c, p1, ra, ca, wa),
-                p2,
-                |s, c| s.d(c, p2, rb, cb, wb),
-            );
-        }
-        // Phase 2: via ∈ v2.
-        {
-            let (va, vb) = (v2.clone(), v2.clone());
-            let (ra, rb) = (r1.clone(), r2.clone());
-            self.fork(
-                p1,
-                |s, c| s.c_role(c, p1, va, ra),
-                p2,
-                |s, c| s.c_role(c, p2, vb, rb),
-            );
-        }
-        {
-            let (ca, cb) = (v1.clone(), v1);
-            let (wa, wb) = (v2.clone(), v2);
-            self.fork(
-                p1,
-                |s, c| s.d(c, p1, r1, ca, wa),
-                p2,
-                |s, c| s.d(c, p2, r2, cb, wb),
+                |s| s.d(p1, r1.clone(), rest.clone(), via.clone(), false),
+                |s| s.d(p2, r2.clone(), rest.clone(), via.clone(), false),
             );
         }
     }
@@ -592,14 +565,16 @@ impl Recorder {
     /// The D role: disjoint accumulate, split on the longest dimension
     /// (row/column cuts fork; via cuts stay ordered — and, because both via
     /// halves keep the same processor list, the ordered halves land on the
-    /// same workers and share waves through the per-worker FIFO).
+    /// same workers and share waves through the per-worker FIFO).  A
+    /// `rows == cols` tie cuts rows, or columns under `tie_cols`, so that a
+    /// caller's strip ownership carries through.
     fn d(
         &mut self,
-        cur: Option<ProcId>,
         procs: ProcList,
         rows: Range<usize>,
         cols: Range<usize>,
         via: Range<usize>,
+        tie_cols: bool,
     ) {
         if rows.is_empty() || cols.is_empty() || via.is_empty() {
             return;
@@ -607,36 +582,27 @@ impl Recorder {
         if procs.len() == 1
             || (rows.len() <= self.base && cols.len() <= self.base && via.len() <= self.base)
         {
-            return self.leaf(cur, procs.first(), LeafCall::D { rows, cols, via });
+            return self.leaf(procs.first(), LeafCall::D { rows, cols, via });
         }
-        if rows.len() >= cols.len() && rows.len() >= via.len() {
-            let (r1, r2) = halves(&rows);
-            let (p1, p2) = procs.split_even();
-            let (ca, cb) = (cols.clone(), cols);
-            let (wa, wb) = (via.clone(), via);
+        let rows_first = rows.len() > cols.len() || (rows.len() == cols.len() && !tie_cols);
+        if rows_first && rows.len() >= via.len() {
+            let (p1, p2, r1, r2) = cut(procs, &rows);
             self.fork(
-                p1,
-                |s, c| s.d(c, p1, r1, ca, wa),
-                p2,
-                |s, c| s.d(c, p2, r2, cb, wb),
+                |s| s.d(p1, r1, cols.clone(), via.clone(), tie_cols),
+                |s| s.d(p2, r2, cols.clone(), via.clone(), tie_cols),
             );
         } else if cols.len() >= via.len() {
-            let (c1, c2) = halves(&cols);
-            let (p1, p2) = procs.split_even();
-            let (ra, rb) = (rows.clone(), rows);
-            let (wa, wb) = (via.clone(), via);
+            let (p1, p2, c1, c2) = cut(procs, &cols);
             self.fork(
-                p1,
-                |s, c| s.d(c, p1, ra, c1, wa),
-                p2,
-                |s, c| s.d(c, p2, rb, c2, wb),
+                |s| s.d(p1, rows.clone(), c1, via.clone(), tie_cols),
+                |s| s.d(p2, rows.clone(), c2, via.clone(), tie_cols),
             );
         } else {
             // A via cut accumulates into the same cells: the halves stay
             // ordered (same procs ⇒ same leaves ⇒ in-wave FIFO ordering).
             let (v1, v2) = halves(&via);
-            self.d(cur, procs, rows.clone(), cols.clone(), v1);
-            self.d(cur, procs, rows, cols, v2);
+            self.d(procs, rows.clone(), cols.clone(), v1, tie_cols);
+            self.d(procs, rows, cols, v2, tie_cols);
         }
     }
 }
@@ -736,18 +702,14 @@ mod tests {
     }
 
     #[test]
-    fn flattened_plan_issues_far_fewer_barriers_than_the_fork_recursion() {
-        // The PR 2 ROADMAP item: the fork2-driven executor paid one barrier
-        // per fork and per off-processor leaf spawn; the wave-flattened plan
-        // must issue strictly fewer (in practice: several times fewer).
-        for &(n, base, p) in &[(128usize, 8usize, 4usize), (256, 16, 4), (128, 8, 7)] {
-            let fw = plan_fw(n, p, base);
-            assert!(
-                fw.plan.barriers() < fw.fork_barriers,
-                "n={n} base={base} p={p}: {} waves vs {} recursive barriers",
-                fw.plan.barriers(),
-                fw.fork_barriers
-            );
+    fn wave_count_is_bounded_independently_of_p() {
+        // Per phase the wave count is a constant, so it is the same at every
+        // p up to proportional-cut rounding: 61 for powers of two, 65 otherwise.
+        for &(n, base) in &[(384usize, 32usize), (128, 8)] {
+            for p in 2..=8 {
+                let waves = plan_fw(n, p, base).plan.barriers();
+                assert!(waves <= 65, "n={n} base={base} p={p}: {waves} waves");
+            }
         }
     }
 
@@ -765,28 +727,29 @@ mod tests {
 
     #[test]
     fn layered_waves_never_overlap_read_write_footprints_across_procs() {
-        // Structural check of the exact layering: inside one wave, a cell
-        // written by one processor must not be read or written by any other.
-        for &(n, p, base) in &[(96usize, 4usize, 8usize), (128, 7, 16)] {
-            let fw = plan_fw(n, p, base);
-            for wave in fw.plan.waves() {
-                for (i, a) in wave.iter().enumerate() {
-                    let (wr, wc) = a.job.write_rect();
-                    for b in &wave[i + 1..] {
-                        if a.proc == b.proc {
-                            continue; // same worker: FIFO order applies
-                        }
-                        for (rr, rc) in b.job.read_rects() {
-                            let disjoint = wr.end <= rr.start
-                                || rr.end <= wr.start
-                                || wc.end <= rc.start
-                                || rc.end <= wc.start;
-                            assert!(
-                                disjoint,
-                                "n={n} p={p}: write {wr:?}×{wc:?} on proc {} overlaps \
-                                 read {rr:?}×{rc:?} on proc {} in one wave",
-                                a.proc, b.proc
-                            );
+        // Structural check of the layering: inside one wave, a cell written
+        // by one processor must be neither read nor written by any other,
+        // whichever of the two steps comes first in program order (reads
+        // include the write rectangle: every role updates in place).
+        let overlap = |a: &(Range<usize>, Range<usize>), b: &(Range<usize>, Range<usize>)| {
+            a.0.start < b.0.end && b.0.start < a.0.end && a.1.start < b.1.end && b.1.start < a.1.end
+        };
+        for &(n, base) in &[(384usize, 32usize), (512, 32), (100, 16), (33, 4), (7, 1)] {
+            for p in 2..=8 {
+                let fw = plan_fw(n, p, base);
+                for wave in fw.plan.waves() {
+                    for a in wave {
+                        let write = a.job.write_rect();
+                        for b in wave.iter().filter(|b| b.proc != a.proc) {
+                            for read in b.job.read_rects() {
+                                assert!(
+                                    !overlap(&write, &read),
+                                    "n={n} base={base} p={p}: write {write:?} on proc {} \
+                                     overlaps read {read:?} on proc {} in one wave",
+                                    a.proc,
+                                    b.proc
+                                );
+                            }
                         }
                     }
                 }

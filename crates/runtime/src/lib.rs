@@ -45,4 +45,4 @@ pub use bfs::{
 };
 pub use hetero::{hetero_pruned_bfs, ThrottleSpec};
 pub use pool::{fork2, PoolScope, WorkerPool};
-pub use schedule::{Front, Plan, PlanBuilder, Step};
+pub use schedule::{Front, Plan, PlanBuilder, PlanProfile, Step};

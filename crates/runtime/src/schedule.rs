@@ -145,6 +145,30 @@ impl<J> Plan<J> {
         out
     }
 
+    /// Weigh the plan under the barrier semantics of [`Plan::execute`]: a
+    /// wave lasts as long as its most loaded processor, so
+    /// `makespan = Σ_waves max_q Σ cost` — the paper's `T^max_p` as a count.
+    pub fn profile(&self, cost: impl Fn(&J) -> u64) -> PlanProfile {
+        let mut per_proc = vec![0u64; self.p];
+        let mut makespan = 0u64;
+        let mut in_wave = vec![0u64; self.p];
+        for wave in &self.waves {
+            in_wave.fill(0);
+            for step in wave {
+                in_wave[step.proc] += cost(&step.job);
+            }
+            makespan += in_wave.iter().copied().max().unwrap_or(0);
+            for (total, w) in per_proc.iter_mut().zip(&in_wave) {
+                *total += w;
+            }
+        }
+        PlanProfile {
+            work: per_proc.iter().sum(),
+            makespan,
+            per_proc,
+        }
+    }
+
     /// Visit every step in schedule order with its wave index — the
     /// sequential twin of [`Plan::execute`], used by the traced (cache
     /// simulator) variants so they replay the *identical* leaf→processor
@@ -227,6 +251,32 @@ impl<J> Plan<J> {
                 .collect(),
             p: self.p,
         }
+    }
+}
+
+/// What [`Plan::profile`] counts: total work, barrier-semantics makespan and
+/// the work placed on each processor, all in the caller's cost unit.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanProfile {
+    /// Total cost of every step (`T_1`).
+    pub work: u64,
+    /// `Σ_waves max_q Σ cost` (`T^max_p` under one barrier per wave).
+    pub makespan: u64,
+    /// Cost placed on each processor.
+    pub per_proc: Vec<u64>,
+}
+
+impl PlanProfile {
+    /// `work / (p · makespan)`: 1.0 means no processor ever waits at a
+    /// barrier, `1/p` means the plan never runs two processors at once.
+    pub fn eff(&self) -> f64 {
+        self.work as f64 / (self.per_proc.len() as f64 * self.makespan as f64)
+    }
+
+    /// Busiest processor's work over the mean (`≥ 1`); blind to idling.
+    pub fn imbalance(&self) -> f64 {
+        let max = self.per_proc.iter().copied().max().unwrap_or(0);
+        max as f64 * self.per_proc.len() as f64 / self.work as f64
     }
 }
 
@@ -647,6 +697,28 @@ mod tests {
             total.fetch_add(job.len(), Ordering::SeqCst);
         });
         assert_eq!(total.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn profile_charges_each_wave_its_busiest_processor() {
+        // Wave 0: p0 = 3 + 1, p1 = 2; wave 1: p1 = 5 alone.
+        let plan = Plan::from_waves(
+            2,
+            vec![
+                vec![
+                    Step { proc: 0, job: 3u64 },
+                    Step { proc: 1, job: 2 },
+                    Step { proc: 0, job: 1 },
+                ],
+                vec![Step { proc: 1, job: 5 }],
+            ],
+        );
+        let prof = plan.profile(|&c| c);
+        assert_eq!(prof.work, 11);
+        assert_eq!(prof.makespan, 4 + 5);
+        assert_eq!(prof.per_proc, vec![4, 7]);
+        assert!((prof.eff() - 11.0 / 18.0).abs() < 1e-12);
+        assert!((prof.imbalance() - 14.0 / 11.0).abs() < 1e-12);
     }
 
     #[test]

@@ -345,11 +345,18 @@ mod tests {
 
     #[test]
     fn join_runs_concurrently_when_budget_allows() {
-        if super::max_threads() < 2 {
-            return;
-        }
+        // The rendezvous below needs `join` to get its second thread, and
+        // sibling tests draw on the same process-wide budget: under the
+        // default cap they can hold all `nproc − 1` extras, `join` then runs
+        // both closures inline, and a barrier of two waits forever.  Threads
+        // without an `install` never push the count past `nproc − 1`, so a
+        // local cap of `nproc + 1` always leaves this test one to reserve.
+        let pool = super::ThreadPoolBuilder::new()
+            .num_threads(super::max_threads() + 1)
+            .build()
+            .unwrap();
         let barrier = std::sync::Barrier::new(2);
-        super::join(|| barrier.wait(), || barrier.wait());
+        pool.install(|| super::join(|| barrier.wait(), || barrier.wait()));
     }
 
     #[test]

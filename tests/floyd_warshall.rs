@@ -10,9 +10,11 @@
 //! anywhere in this file.
 
 use paco_core::machine::CacheParams;
+use paco_core::matrix::Matrix;
+use paco_core::semiring::{Bottleneck, Semiring};
 use paco_core::workload::{random_adjacency, random_digraph};
 use paco_graph::{fw_paco_traced, fw_po, fw_reference, fw_seq, fw_seq_traced};
-use paco_service::{Apsp, Closure, Session, Tuning};
+use paco_service::{Apsp, Backend, Closure, Session, Tuning};
 use proptest::prelude::*;
 
 /// A session whose Floyd–Warshall base-case side is pinned to `base`.
@@ -71,6 +73,62 @@ fn prime_processor_counts_are_first_class() {
         let session = Session::new(p);
         assert_eq!(session.run(Apsp { adj: graph.clone() }), expect, "p={p}");
     }
+}
+
+#[test]
+fn uneven_list_splits_cut_awkward_shapes_bit_identically() {
+    // Proportional cuts hand `len · ⌊p/2⌋ / p` of a range to the smaller list
+    // half: with fewer vertices than processors, one more than processors,
+    // or unit base cases that share rounds to zero and a branch is empty.
+    for p in [3usize, 5, 6, 7] {
+        for &(n, base) in &[(p - 1, 1usize), (p + 1, 1), (p + 1, 2), (29, 1), (61, 4)] {
+            let session = fw_session(p, base);
+            let graph = random_digraph(n, 0.3, 40, (31 * n + p) as u64);
+            let capacities = Matrix::from_fn(n, n, |i, j| match graph.get(i, j).0 {
+                _ if i == j => Bottleneck::one(),
+                w if w.is_finite() => Bottleneck(w),
+                _ => Bottleneck::zero(),
+            });
+            let reach = random_adjacency(n, 0.1, (17 * n + p) as u64);
+            assert_eq!(
+                session.run(Closure {
+                    adj: capacities.clone()
+                }),
+                fw_seq(&capacities, base),
+                "bottleneck n={n} base={base} p={p}"
+            );
+            assert_eq!(
+                session.run(Closure { adj: reach.clone() }),
+                fw_seq(&reach, base),
+                "bool n={n} base={base} p={p}"
+            );
+            assert_eq!(
+                fw_seq(&graph, base),
+                session.run(Apsp { adj: graph }),
+                "minplus n={n} base={base} p={p}"
+            );
+        }
+    }
+}
+
+#[test]
+fn distributed_ranks_follow_the_odd_p_owners() {
+    // At odd p the proportional cuts move leaves between owners; the
+    // distributed backend derives its exchanges from the same plan, so three
+    // ranks must still reproduce three local workers bit for bit.
+    let graph = random_digraph(100, 0.15, 80, 23);
+    let local = fw_session(3, 16);
+    let dist = Session::builder()
+        .procs(1)
+        .backend(Backend::Distributed { ranks: 3 })
+        .tuning(Tuning {
+            fw_base: 16,
+            ..Tuning::default()
+        })
+        .build();
+    let want = local.run(Apsp { adj: graph.clone() });
+    assert_eq!(want, fw_reference(&graph));
+    assert_eq!(dist.run(Apsp { adj: graph }), want);
 }
 
 #[test]

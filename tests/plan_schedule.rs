@@ -134,34 +134,15 @@ proptest! {
 }
 
 #[test]
-fn flattened_fw_plan_beats_the_recursive_barrier_count() {
-    // Structural regression for the PR 2 ROADMAP item: the wave count of the
-    // flattened plan must be strictly below the barrier count of the
-    // fork2-driven recursion (one barrier per fork + per off-processor leaf),
-    // which grew linearly with the recursion depth per phase.
-    for &(n, base, p) in &[
-        (64usize, 8usize, 2usize),
-        (128, 8, 4),
-        (128, 16, 5),
-        (256, 16, 7),
-    ] {
-        let fw = plan_fw(n, p, base);
-        assert!(
-            fw.plan.barriers() < fw.fork_barriers,
-            "n={n} base={base} p={p}: {} waves vs {} recursive barriers",
-            fw.plan.barriers(),
-            fw.fork_barriers
-        );
-        // The gain grows with p (the fork tree per phase is log-p deep while
-        // the wave count per phase is bounded): at p = 2 the ratio is ~1.2x,
-        // by p = 7 the plan needs at most half the barriers of the recursion.
-        if p >= 7 {
-            assert!(
-                2 * fw.plan.barriers() <= fw.fork_barriers,
-                "n={n} base={base} p={p}: expected ≥2x fewer barriers, got {} vs {}",
-                fw.plan.barriers(),
-                fw.fork_barriers
-            );
+fn fw_wave_count_is_bounded_independently_of_p() {
+    // Absolute ceilings (the comparison against the fork2-driven recursion
+    // retired with its accounting): per phase the wave count is a constant,
+    // so it is the same at every p up to proportional-cut rounding — 61 for
+    // powers of two, 65 otherwise, at both of these depths.
+    for &(n, base) in &[(384usize, 32usize), (128, 8)] {
+        for p in 2..=8 {
+            let waves = plan_fw(n, p, base).plan.barriers();
+            assert!(waves <= 65, "n={n} base={base} p={p}: {waves} waves");
         }
     }
 }

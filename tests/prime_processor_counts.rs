@@ -6,6 +6,7 @@ use paco_core::util::{caps_usable_processors, is_caps_friendly, is_prime};
 use paco_core::workload::{random_keys, random_matrix_wrapping, related_sequences, GapCosts};
 use paco_dp::gap::gap_reference;
 use paco_dp::lcs::{lcs_reference, plan_paco_lcs};
+use paco_graph::{plan_fw, LeafCall};
 use paco_matmul::{mm_reference, plan_paco_mm};
 use paco_service::{Gap, Lcs, MatMul, Session, Sort, Strassen, Tuning};
 
@@ -97,6 +98,45 @@ fn partitions_stay_balanced_on_prime_processor_counts() {
             lcs_plan.imbalance()
         );
     }
+}
+
+#[test]
+fn floyd_warshall_plans_keep_every_processor_busy() {
+    // The claim is about `T^max_p`, which volume balance cannot see: weigh
+    // the compiled plan under the executor's own barrier semantics.
+    // `(p, eff, waves, steps)` of `plan_fw(384, p, 32)`; `eff` is a ratchet
+    // (it read 0.500 at p = 2 and 0.407 at p = 7 before the waves were
+    // sibling-aligned), waves and steps are exact.
+    const TABLE: &[(usize, f64, usize, usize)] = &[
+        (2, 0.992, 61, 120),
+        (3, 0.742, 65, 232),
+        (4, 0.970, 61, 344),
+        (5, 0.817, 65, 466),
+        (6, 0.715, 65, 588),
+        (7, 0.635, 65, 710),
+        (8, 0.889, 61, 832),
+    ];
+    for &(p, eff, waves, steps) in TABLE {
+        let plan = plan_fw(384, p, 32).plan;
+        let prof = plan.profile(LeafCall::cost);
+        assert!(
+            prof.eff() >= eff - 0.001,
+            "p={p}: plan_eff {:.4} < {eff}",
+            prof.eff()
+        );
+        assert_eq!((plan.barriers(), plan.steps()), (waves, steps), "p={p}");
+        // Volume balance, the weaker measure: 1.512 and 1.805 before the
+        // cuts followed the processor-list ratio.
+        match p {
+            3 => assert!(prof.imbalance() <= 1.35, "{}", prof.imbalance()),
+            7 => assert!(prof.imbalance() <= 1.56, "{}", prof.imbalance()),
+            _ => {}
+        }
+    }
+    let profile = |n, p, base| plan_fw(n, p, base).plan.profile(LeafCall::cost);
+    // Deeper and shallower recursions: two processors stay busy together.
+    assert!(profile(512, 2, 32).eff() >= 0.99);
+    assert!(profile(48, 2, 32).eff() >= 0.66);
 }
 
 #[test]
