@@ -13,8 +13,8 @@
 //!
 //! The tool is a **soft gate**: wall-clock timings in a shared 1-core
 //! container are noise and never fail the build, but *counter* gauges —
-//! structural counts like plan waves, pool barriers, messages, words
-//! shipped, dispatch-fallback counts — are deterministic, so a counter that
+//! structural counts like plan waves, steps, pool barriers and
+//! dispatch-fallback counts — are deterministic, so a counter that
 //! regresses by more than [`COUNTER_GATE`]× against the committed baseline
 //! (or a fallback counter that moves off zero) exits non-zero.  Everything
 //! else stays advisory.  It also exits non-zero when an input file is
@@ -34,8 +34,7 @@ enum Record {
 /// A counter gauge may grow to at most this multiple of its baseline before
 /// the gate fails the build.  3× leaves room for intentional plan-shape
 /// changes (which should update `BENCH_baseline.json` anyway) while catching
-/// the pathological ones: a barrier per leaf instead of per wave, a
-/// full-matrix exchange instead of a block one.
+/// the pathological ones: a barrier per leaf instead of per wave.
 const COUNTER_GATE: f64 = 3.0;
 
 /// Label substrings that mark a gauge as a *counter*: a deterministic
@@ -45,18 +44,7 @@ const COUNTER_GATE: f64 = 3.0;
 /// are higher-is-better and are guarded instead by their `*-leaf-generic`
 /// twins, which sit at 0 in the baseline and trip the off-zero rule on any
 /// fallback.
-const COUNTER_MARKERS: &[&str] = &[
-    "waves",
-    "barrier",
-    "steps", // plan-steps and supersteps
-    "messages",
-    "words",
-    "overhead",
-    "critical-path",
-    "leaf-generic",
-    "fallbacks",    // incr/full-fallbacks
-    "repropagated", // incr/blocks-repropagated-ratio
-];
+const COUNTER_MARKERS: &[&str] = &["waves", "barrier", "steps", "leaf-generic"];
 
 /// True for gauges the soft gate enforces (see [`COUNTER_MARKERS`]).
 fn is_counter(label: &str) -> bool {

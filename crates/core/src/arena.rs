@@ -12,9 +12,10 @@
 //!
 //! Pools are keyed by `TypeId` of the element vector, so a buffer is only
 //! ever reused at the exact type it was allocated at — no byte-level
-//! transmutes.  The hit/miss counters feed the `service/arena-reuse-ratio`
-//! gauge; outputs are never pooled, so results are unaffected by reuse (the
-//! arena-reuse test in `tests/kernel_agreement.rs` asserts exactly that).
+//! transmutes.  The hit/miss counters feed the benchmark's
+//! `paco_core.arena_hit_ratio`; outputs are never pooled, so results are
+//! unaffected by reuse (the arena-reuse test in `tests/kernel_agreement.rs`
+//! asserts exactly that).
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -31,8 +32,7 @@ pub struct ArenaStats {
 }
 
 impl ArenaStats {
-    /// `hits / (hits + misses)`, or 0.0 before any checkout — the
-    /// `service/arena-reuse-ratio` gauge.
+    /// `hits / (hits + misses)`, or 0.0 before any checkout.
     pub fn reuse_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {

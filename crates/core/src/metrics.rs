@@ -10,11 +10,29 @@
 //! [`Stopwatch`] and the throughput helpers are used by the benchmark harness to
 //! report running time, speedup percentages (the paper's
 //! `(time_peer / time_PACO − 1) × 100%`) and `Rmax/Rpeak` fractions.
+//! [`LatencyHistogram`] is a plain type an owner (the service engine) embeds.
+//!
+//! Everything a `Session`, `Engine`, plan cache or incremental handle can
+//! count for itself, it counts on the instance (`RunStats`, `EngineStats`,
+//! `PlanCacheStats`, `UpdateStats`).  Only three counter families stay
+//! process-wide, each because no instance owns the event:
+//!
+//! - [`sched`]'s plan/barrier cells are **thread-local**: a plan execution
+//!   and its pool barriers are recorded on the thread that drives them,
+//!   which is the thread that reads the delta, so deltas are exact per
+//!   driving thread (this is what `RunStats` reads).
+//! - [`sched::kernel`] counts leaf dispatch (SIMD/specialized vs generic).
+//!   Leaves are free functions called on pool worker threads with no
+//!   owning instance in scope, so they tick global atomics.
+//! - [`comm`] is the only view of distributed traffic a caller of a
+//!   `Session`/`Engine` has: ranks are threads spawned per run, and the
+//!   executor mirrors each run's exact totals here once.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 pub mod sched {
-    //! Process-wide scheduling counters.
+    //! Scheduling counters.
     //!
     //! The PACO runtime executes a `Plan` as one worker-pool barrier per wave,
     //! and every `WorkerPool::scope` is exactly one barrier
@@ -94,114 +112,6 @@ pub mod sched {
         }
     }
 
-    /// Zero the current thread's counters.  Prefer [`snapshot`] deltas.
-    pub fn reset() {
-        POOL_BARRIERS.with(|c| c.set(0));
-        PLAN_EXECUTIONS.with(|c| c.set(0));
-        PLAN_WAVES.with(|c| c.set(0));
-        PLAN_STEPS.with(|c| c.set(0));
-    }
-
-    pub mod plan_cache {
-        //! Process-wide plan-skeleton cache counters.
-        //!
-        //! The service layer caches compiled plan skeletons keyed on request
-        //! shape + tuning epoch (the paper's workload-independence claim made
-        //! operational: the pruned-BFS assignment depends only on
-        //! `(shape, p, tuning)`).  Caches live per `Session` and per engine
-        //! shard, and engine shards are driven from executor threads, so —
-        //! like [`super::ingress`] — these are global atomics: exact for the
-        //! *process*, aggregated across every cache instance.  Tests that
-        //! need per-cache determinism read the per-instance counters the
-        //! service layer exposes instead.
-
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        static HITS: AtomicU64 = AtomicU64::new(0);
-        static MISSES: AtomicU64 = AtomicU64::new(0);
-        static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-        /// A point-in-time copy of the plan-cache counters.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct PlanCacheSnapshot {
-            /// Lookups served from a cached skeleton (no plan compiled).
-            pub hits: u64,
-            /// Lookups that compiled a fresh skeleton and inserted it.
-            pub misses: u64,
-            /// Cached skeletons dropped to respect a cache's capacity bound.
-            pub evictions: u64,
-        }
-
-        impl PlanCacheSnapshot {
-            /// Counter deltas since an earlier snapshot.
-            pub fn since(&self, earlier: &PlanCacheSnapshot) -> PlanCacheSnapshot {
-                PlanCacheSnapshot {
-                    hits: self.hits - earlier.hits,
-                    misses: self.misses - earlier.misses,
-                    evictions: self.evictions - earlier.evictions,
-                }
-            }
-
-            /// `hits / (hits + misses)`, or 0.0 before any lookup.
-            pub fn hit_ratio(&self) -> f64 {
-                let total = self.hits + self.misses;
-                if total == 0 {
-                    0.0
-                } else {
-                    self.hits as f64 / total as f64
-                }
-            }
-        }
-
-        /// Record one cache hit (a lookup served without compiling).
-        #[inline]
-        pub fn record_hit() {
-            HITS.fetch_add(1, Ordering::Relaxed);
-        }
-
-        /// Record one cache miss (a lookup that compiled a fresh skeleton).
-        #[inline]
-        pub fn record_miss() {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-        }
-
-        /// Record one capacity eviction.
-        #[inline]
-        pub fn record_eviction() {
-            EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        }
-
-        /// Read the current process-wide plan-cache counters at once.
-        pub fn snapshot() -> PlanCacheSnapshot {
-            PlanCacheSnapshot {
-                hits: HITS.load(Ordering::Relaxed),
-                misses: MISSES.load(Ordering::Relaxed),
-                evictions: EVICTIONS.load(Ordering::Relaxed),
-            }
-        }
-
-        #[cfg(test)]
-        mod tests {
-            use super::*;
-
-            #[test]
-            fn plan_cache_counters_accumulate_and_diff() {
-                let before = snapshot();
-                record_miss();
-                record_hit();
-                record_hit();
-                record_hit();
-                record_eviction();
-                let delta = snapshot().since(&before);
-                assert_eq!(delta.misses, 1);
-                assert_eq!(delta.hits, 3);
-                assert_eq!(delta.evictions, 1);
-                assert!((delta.hit_ratio() - 0.75).abs() < 1e-12);
-                assert_eq!(PlanCacheSnapshot::default().hit_ratio(), 0.0);
-            }
-        }
-    }
-
     pub mod kernel {
         //! Process-wide leaf-kernel dispatch counters.
         //!
@@ -209,8 +119,8 @@ pub mod sched {
         //! every leaf fast path added by the kernel layer also proves it ran:
         //! each leaf call increments exactly one counter — "specialized"
         //! (SIMD microkernel, row-sliced semiring loop, branch-free LCS
-        //! block) or "generic" (the trait-dispatch fallback).  Like
-        //! [`super::plan_cache`], leaves run on pool worker threads, so these
+        //! block) or "generic" (the trait-dispatch fallback).  Leaves run on
+        //! pool worker threads with no owning instance in scope, so these
         //! are global atomics: exact per process, one tick per *leaf call*
         //! (never per element — these sit under the hot loops).
 
@@ -319,363 +229,6 @@ pub mod sched {
         }
     }
 
-    pub mod ingress {
-        //! Process-wide concurrent-ingress counters.
-        //!
-        //! Unlike the barrier/wave counters above, the service layer's
-        //! concurrent front door (`paco_service::Engine`) spans threads by
-        //! design: producers enqueue from arbitrary threads while executor
-        //! threads drain and run passes.  Thread-local cells would make the
-        //! two sides invisible to each other, so these counters are global
-        //! atomics.  The trade-off is the mirror image of the one above:
-        //! deltas are exact for the *process*, not per test — concurrent
-        //! engines add to the same tally.  Every source preserves
-        //! `passes <= enqueued` (a pass executes at least one enqueued
-        //! request), so "passes strictly below enqueued" — the signature of
-        //! coalescing — survives aggregation.
-
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        /// Number of shard slots tracked by the occupancy tally; shards
-        /// beyond this fold onto slot `id % MAX_SHARD_SLOTS`.
-        pub const MAX_SHARD_SLOTS: usize = 64;
-
-        static ENQUEUED: AtomicU64 = AtomicU64::new(0);
-        static PASSES: AtomicU64 = AtomicU64::new(0);
-        static EXECUTED: AtomicU64 = AtomicU64::new(0);
-        static COALESCED: AtomicU64 = AtomicU64::new(0);
-        static POISONED: AtomicU64 = AtomicU64::new(0);
-        static MAX_PASS: AtomicU64 = AtomicU64::new(0);
-        static REJECTED: AtomicU64 = AtomicU64::new(0);
-        static OVERLOADED: AtomicU64 = AtomicU64::new(0);
-        static EXPIRED: AtomicU64 = AtomicU64::new(0);
-        static MAX_QUEUE_DEPTH: AtomicU64 = AtomicU64::new(0);
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        static SHARD_REQUESTS: [AtomicU64; MAX_SHARD_SLOTS] = [ZERO; MAX_SHARD_SLOTS];
-        static LATENCY: LatencyHistogram = LatencyHistogram::new();
-
-        /// A point-in-time copy of the ingress counters.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct IngressSnapshot {
-            /// Requests accepted into an executor queue.
-            pub enqueued: u64,
-            /// Executor passes run (each drains one coalesced batch).
-            pub passes: u64,
-            /// Requests executed by passes (resolved or poisoned).
-            pub executed: u64,
-            /// Requests that shared their pass with at least one other
-            /// request — the coalescing win, request-weighted.
-            pub coalesced: u64,
-            /// Requests lost to a panicking pass.
-            pub poisoned: u64,
-            /// Largest single pass observed (a high-watermark, not a delta:
-            /// `since` keeps the later snapshot's value).
-            pub max_pass: u64,
-            /// Requests refused because an engine was shutting down.
-            pub rejected: u64,
-            /// Requests refused at admission because a bounded shard queue
-            /// was full (`try_submit -> Err(Overloaded)`).
-            pub overloaded: u64,
-            /// Requests whose deadline had passed when an executor dequeued
-            /// them; they resolved `Expired` without occupying a pass.
-            pub expired: u64,
-            /// Deepest shard queue observed at any admission (a
-            /// high-watermark like `max_pass`: `since` keeps the later
-            /// snapshot's value).
-            pub max_queue_depth: u64,
-        }
-
-        impl IngressSnapshot {
-            /// Counter deltas since an earlier snapshot (`max_pass` is a
-            /// high-watermark and is carried over, not subtracted).
-            pub fn since(&self, earlier: &IngressSnapshot) -> IngressSnapshot {
-                IngressSnapshot {
-                    enqueued: self.enqueued - earlier.enqueued,
-                    passes: self.passes - earlier.passes,
-                    executed: self.executed - earlier.executed,
-                    coalesced: self.coalesced - earlier.coalesced,
-                    poisoned: self.poisoned - earlier.poisoned,
-                    max_pass: self.max_pass,
-                    rejected: self.rejected - earlier.rejected,
-                    overloaded: self.overloaded - earlier.overloaded,
-                    expired: self.expired - earlier.expired,
-                    max_queue_depth: self.max_queue_depth,
-                }
-            }
-        }
-
-        /// Record one request accepted into an executor queue.
-        #[inline]
-        pub fn record_enqueued() {
-            ENQUEUED.fetch_add(1, Ordering::Relaxed);
-        }
-
-        /// Record one executor pass over `requests` coalesced requests on
-        /// shard `shard`.  Call *before* resolving the pass's tickets, so a
-        /// producer that observed its ticket resolve also observes the pass
-        /// counted.
-        pub fn record_pass(shard: usize, requests: u64) {
-            PASSES.fetch_add(1, Ordering::Relaxed);
-            EXECUTED.fetch_add(requests, Ordering::Relaxed);
-            if requests > 1 {
-                COALESCED.fetch_add(requests, Ordering::Relaxed);
-            }
-            MAX_PASS.fetch_max(requests, Ordering::Relaxed);
-            SHARD_REQUESTS[shard % MAX_SHARD_SLOTS].fetch_add(requests, Ordering::Relaxed);
-        }
-
-        /// Record `requests` requests lost to a panicking pass.
-        pub fn record_poisoned(requests: u64) {
-            POISONED.fetch_add(requests, Ordering::Relaxed);
-        }
-
-        /// Record one request refused because an engine was shutting down.
-        #[inline]
-        pub fn record_rejected() {
-            REJECTED.fetch_add(1, Ordering::Relaxed);
-        }
-
-        /// Record one request refused at admission because a bounded shard
-        /// queue was full.
-        #[inline]
-        pub fn record_overloaded() {
-            OVERLOADED.fetch_add(1, Ordering::Relaxed);
-        }
-
-        /// Record `requests` requests that expired in a queue (their
-        /// deadlines passed before an executor could run them).
-        pub fn record_expired(requests: u64) {
-            EXPIRED.fetch_add(requests, Ordering::Relaxed);
-        }
-
-        /// Record the depth a shard queue reached right after an admission
-        /// (a process-wide high-watermark).
-        #[inline]
-        pub fn record_queue_depth(depth: usize) {
-            MAX_QUEUE_DEPTH.fetch_max(depth as u64, Ordering::Relaxed);
-        }
-
-        /// Record one submission-to-resolution latency into the
-        /// process-wide latency histogram.
-        #[inline]
-        pub fn record_latency(latency: core::time::Duration) {
-            LATENCY.record(latency);
-        }
-
-        /// Read the process-wide submission-to-resolution latency histogram.
-        pub fn latency_snapshot() -> LatencySnapshot {
-            LATENCY.snapshot()
-        }
-
-        /// Read the current process-wide ingress counters at once.
-        pub fn snapshot() -> IngressSnapshot {
-            IngressSnapshot {
-                enqueued: ENQUEUED.load(Ordering::Relaxed),
-                passes: PASSES.load(Ordering::Relaxed),
-                executed: EXECUTED.load(Ordering::Relaxed),
-                coalesced: COALESCED.load(Ordering::Relaxed),
-                poisoned: POISONED.load(Ordering::Relaxed),
-                max_pass: MAX_PASS.load(Ordering::Relaxed),
-                rejected: REJECTED.load(Ordering::Relaxed),
-                overloaded: OVERLOADED.load(Ordering::Relaxed),
-                expired: EXPIRED.load(Ordering::Relaxed),
-                max_queue_depth: MAX_QUEUE_DEPTH.load(Ordering::Relaxed),
-            }
-        }
-
-        /// Number of power-of-two latency buckets tracked by
-        /// [`LatencyHistogram`]; bucket `i` covers `[2^i, 2^(i+1))`
-        /// nanoseconds, so 64 buckets span from 1 ns to ~584 years.
-        pub const LATENCY_BUCKETS: usize = 64;
-
-        /// A lock-free log₂-bucketed latency histogram.
-        ///
-        /// Wall-clock means and single observations are untrustworthy on a
-        /// shared 1-core container, but *percentiles over thousands of
-        /// requests* are a stable signal — and a fixed array of atomic
-        /// bucket counters lets producers and executors record without a
-        /// lock.  The resolution cost is a factor-of-two bucket width: a
-        /// reported percentile is the upper bound of the bucket holding
-        /// that observation.
-        #[derive(Debug)]
-        pub struct LatencyHistogram {
-            buckets: [AtomicU64; LATENCY_BUCKETS],
-        }
-
-        impl Default for LatencyHistogram {
-            fn default() -> Self {
-                Self::new()
-            }
-        }
-
-        impl LatencyHistogram {
-            /// An empty histogram (usable in `static` position).
-            pub const fn new() -> Self {
-                #[allow(clippy::declare_interior_mutable_const)]
-                const ZERO: AtomicU64 = AtomicU64::new(0);
-                Self {
-                    buckets: [ZERO; LATENCY_BUCKETS],
-                }
-            }
-
-            /// Record one observed latency.
-            #[inline]
-            pub fn record(&self, latency: core::time::Duration) {
-                let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
-                // floor(log2(ns)) with 0 → bucket 0.
-                let bucket = (63 - ns.max(1).leading_zeros()) as usize;
-                self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-            }
-
-            /// A point-in-time copy of the bucket counts.
-            pub fn snapshot(&self) -> LatencySnapshot {
-                let mut buckets = [0u64; LATENCY_BUCKETS];
-                for (out, counter) in buckets.iter_mut().zip(self.buckets.iter()) {
-                    *out = counter.load(Ordering::Relaxed);
-                }
-                LatencySnapshot { buckets }
-            }
-        }
-
-        /// A point-in-time copy of a [`LatencyHistogram`]'s bucket counts.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub struct LatencySnapshot {
-            /// Observation counts per power-of-two bucket; bucket `i`
-            /// covers `[2^i, 2^(i+1))` nanoseconds.
-            pub buckets: [u64; LATENCY_BUCKETS],
-        }
-
-        impl Default for LatencySnapshot {
-            fn default() -> Self {
-                Self {
-                    buckets: [0; LATENCY_BUCKETS],
-                }
-            }
-        }
-
-        impl LatencySnapshot {
-            /// Total observations recorded.
-            pub fn count(&self) -> u64 {
-                self.buckets.iter().sum()
-            }
-
-            /// The `q`-quantile latency (`0.0 < q <= 1.0`), as the upper
-            /// bound of the bucket holding that observation; `None` if the
-            /// histogram is empty.
-            pub fn percentile(&self, q: f64) -> Option<core::time::Duration> {
-                let count = self.count();
-                if count == 0 {
-                    return None;
-                }
-                let q = q.clamp(0.0, 1.0);
-                // Rank of the wanted observation, 1-based, at least 1.
-                let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-                let mut seen = 0u64;
-                for (i, &c) in self.buckets.iter().enumerate() {
-                    seen += c;
-                    if seen >= rank {
-                        let upper_ns = 1u128 << (i + 1);
-                        return Some(core::time::Duration::from_nanos(
-                            upper_ns.min(u64::MAX as u128) as u64,
-                        ));
-                    }
-                }
-                unreachable!("rank <= count, so some bucket reaches it")
-            }
-
-            /// Bucket-count deltas since an earlier snapshot.
-            pub fn since(&self, earlier: &LatencySnapshot) -> LatencySnapshot {
-                let mut buckets = [0u64; LATENCY_BUCKETS];
-                for (i, out) in buckets.iter_mut().enumerate() {
-                    *out = self.buckets[i] - earlier.buckets[i];
-                }
-                LatencySnapshot { buckets }
-            }
-        }
-
-        /// Requests executed per shard slot, trailing zeros trimmed — the
-        /// occupancy picture across every engine this process ran.
-        pub fn shard_occupancy() -> Vec<u64> {
-            let mut occ: Vec<u64> = SHARD_REQUESTS
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect();
-            while occ.last() == Some(&0) {
-                occ.pop();
-            }
-            occ
-        }
-
-        #[cfg(test)]
-        mod tests {
-            use super::*;
-
-            #[test]
-            fn ingress_counters_accumulate_and_diff() {
-                let before = snapshot();
-                record_enqueued();
-                record_enqueued();
-                record_enqueued();
-                record_pass(0, 2);
-                record_pass(1, 1);
-                record_poisoned(1);
-                let delta = snapshot().since(&before);
-                assert_eq!(delta.enqueued, 3);
-                assert_eq!(delta.passes, 2);
-                assert_eq!(delta.executed, 3);
-                assert_eq!(delta.coalesced, 2);
-                assert_eq!(delta.poisoned, 1);
-                assert!(delta.max_pass >= 2);
-                let occ = shard_occupancy();
-                assert!(occ.len() >= 2);
-                assert!(occ[0] >= 2 && occ[1] >= 1);
-            }
-
-            #[test]
-            fn admission_counters_accumulate_and_diff() {
-                let before = snapshot();
-                record_rejected();
-                record_overloaded();
-                record_overloaded();
-                record_expired(3);
-                record_queue_depth(17);
-                let delta = snapshot().since(&before);
-                assert_eq!(delta.rejected, 1);
-                assert_eq!(delta.overloaded, 2);
-                assert_eq!(delta.expired, 3);
-                assert!(delta.max_queue_depth >= 17);
-            }
-
-            #[test]
-            fn latency_histogram_percentiles() {
-                use core::time::Duration;
-                let h = LatencyHistogram::new();
-                assert_eq!(h.snapshot().percentile(0.5), None);
-                // 99 fast observations in [1µs, 2µs), one slow in [1ms, 2ms).
-                for _ in 0..99 {
-                    h.record(Duration::from_nanos(1_500));
-                }
-                h.record(Duration::from_nanos(1_500_000));
-                let snap = h.snapshot();
-                assert_eq!(snap.count(), 100);
-                // p50 and p99 land in the fast bucket (upper bound 2^11 ns),
-                // p100 in the slow one (upper bound 2^21 ns).
-                assert_eq!(snap.percentile(0.5), Some(Duration::from_nanos(1 << 11)));
-                assert_eq!(snap.percentile(0.99), Some(Duration::from_nanos(1 << 11)));
-                assert_eq!(snap.percentile(1.0), Some(Duration::from_nanos(1 << 21)));
-                // Deltas subtract bucket-wise.
-                let empty = snap.since(&snap);
-                assert_eq!(empty.count(), 0);
-                // Zero-duration observations land in bucket 0 and report the
-                // smallest upper bound rather than panicking.
-                let h = LatencyHistogram::new();
-                h.record(Duration::ZERO);
-                assert_eq!(h.snapshot().percentile(0.5), Some(Duration::from_nanos(2)));
-            }
-        }
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -706,8 +259,8 @@ pub mod comm {
     //! traffic against the analytic bounds in `cache-sim::distributed`
     //! (Sect. III-E-1 / Sect. V of the paper).
     //!
-    //! Ranks are threads, so these are global atomics in the style of
-    //! [`super::sched::ingress`]: exact for the process, aggregated over
+    //! Ranks are threads, so these are global atomics like
+    //! [`super::sched::kernel`]: exact for the process, aggregated over
     //! every distributed run.  The executor computes a run's totals
     //! deterministically on the host thread and mirrors them here with one
     //! [`record_run`] call, which keeps snapshot deltas exact per run even
@@ -940,181 +493,6 @@ pub mod comm {
     }
 }
 
-pub mod incr {
-    //! Process-wide counters of the incremental subsystem (`paco_incr`).
-    //!
-    //! What makes incrementality *measurable* on a 1-core container is exact
-    //! counting, not wall-clock (the same argument as [`super::comm`]): an
-    //! edge update that re-propagates 3 of 64 dirty blocks is incremental
-    //! whatever the clock says.  Every incremental closure and traceback
-    //! tallies here — global atomics in the [`super::comm`] style, exact for
-    //! the process, snapshot-diffed per run by the benches.
-
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static CLOSES: AtomicU64 = AtomicU64::new(0);
-    static UPDATE_BATCHES: AtomicU64 = AtomicU64::new(0);
-    static UPDATES_INCREMENTAL: AtomicU64 = AtomicU64::new(0);
-    static UPDATES_FULL: AtomicU64 = AtomicU64::new(0);
-    static FULL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-    static BLOCKS_PROBED: AtomicU64 = AtomicU64::new(0);
-    static BLOCKS_REPROPAGATED: AtomicU64 = AtomicU64::new(0);
-    static BLOCKS_TOTAL: AtomicU64 = AtomicU64::new(0);
-    static FRONTIER_ROWS: AtomicU64 = AtomicU64::new(0);
-    static FRONTIER_COLS: AtomicU64 = AtomicU64::new(0);
-    static TRACE_RUNS: AtomicU64 = AtomicU64::new(0);
-    static TRACE_CELLS: AtomicU64 = AtomicU64::new(0);
-    static TRACE_BYTES: AtomicU64 = AtomicU64::new(0);
-
-    /// A point-in-time copy of the incremental-subsystem counters.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-    pub struct IncrSnapshot {
-        /// Closed-graph handles materialized (full initial closures).
-        pub closes: u64,
-        /// Edge-update batches applied.
-        pub update_batches: u64,
-        /// Updates served by dirty-block re-propagation.
-        pub updates_incremental: u64,
-        /// Updates absorbed by a full re-closure fallback.
-        pub updates_full: u64,
-        /// Full re-closures triggered (ineligible update or dirty frontier
-        /// over the [`Tuning`](crate::tuning::Tuning) threshold).
-        pub full_fallbacks: u64,
-        /// Dirty blocks examined by re-propagation sweeps.
-        pub blocks_probed: u64,
-        /// Probed blocks in which at least one entry actually changed.
-        pub blocks_repropagated: u64,
-        /// Total grid blocks a full re-closure of each incremental update
-        /// would have rewritten — the denominator of the
-        /// `incr/blocks-repropagated-ratio` gauge.
-        pub blocks_total: u64,
-        /// Dirty frontier rows summed over incremental updates.
-        pub frontier_rows: u64,
-        /// Dirty frontier columns summed over incremental updates.
-        pub frontier_cols: u64,
-        /// Hirschberg traceback runs.
-        pub trace_runs: u64,
-        /// DP cells evaluated by tracebacks (≈ 2·n·m per run; plain LCS
-        /// evaluates n·m, the linear-space recovery pays the rest).
-        pub trace_cells: u64,
-        /// Bytes of edit script produced by tracebacks.
-        pub trace_bytes: u64,
-    }
-
-    impl IncrSnapshot {
-        /// Counter deltas since an earlier snapshot.
-        pub fn since(&self, earlier: &IncrSnapshot) -> IncrSnapshot {
-            IncrSnapshot {
-                closes: self.closes - earlier.closes,
-                update_batches: self.update_batches - earlier.update_batches,
-                updates_incremental: self.updates_incremental - earlier.updates_incremental,
-                updates_full: self.updates_full - earlier.updates_full,
-                full_fallbacks: self.full_fallbacks - earlier.full_fallbacks,
-                blocks_probed: self.blocks_probed - earlier.blocks_probed,
-                blocks_repropagated: self.blocks_repropagated - earlier.blocks_repropagated,
-                blocks_total: self.blocks_total - earlier.blocks_total,
-                frontier_rows: self.frontier_rows - earlier.frontier_rows,
-                frontier_cols: self.frontier_cols - earlier.frontier_cols,
-                trace_runs: self.trace_runs - earlier.trace_runs,
-                trace_cells: self.trace_cells - earlier.trace_cells,
-                trace_bytes: self.trace_bytes - earlier.trace_bytes,
-            }
-        }
-
-        /// Blocks actually rewritten as a fraction of what full re-closures
-        /// would have rewritten (0 when nothing incremental ran).
-        pub fn repropagated_ratio(&self) -> f64 {
-            if self.blocks_total == 0 {
-                0.0
-            } else {
-                self.blocks_repropagated as f64 / self.blocks_total as f64
-            }
-        }
-    }
-
-    /// Record one full initial closure (handle materialization).
-    pub fn record_close() {
-        CLOSES.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one applied edge-update batch's totals.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_batch(
-        incremental: u64,
-        full: u64,
-        fallbacks: u64,
-        probed: u64,
-        repropagated: u64,
-        total: u64,
-        frontier_rows: u64,
-        frontier_cols: u64,
-    ) {
-        UPDATE_BATCHES.fetch_add(1, Ordering::Relaxed);
-        UPDATES_INCREMENTAL.fetch_add(incremental, Ordering::Relaxed);
-        UPDATES_FULL.fetch_add(full, Ordering::Relaxed);
-        FULL_FALLBACKS.fetch_add(fallbacks, Ordering::Relaxed);
-        BLOCKS_PROBED.fetch_add(probed, Ordering::Relaxed);
-        BLOCKS_REPROPAGATED.fetch_add(repropagated, Ordering::Relaxed);
-        BLOCKS_TOTAL.fetch_add(total, Ordering::Relaxed);
-        FRONTIER_ROWS.fetch_add(frontier_rows, Ordering::Relaxed);
-        FRONTIER_COLS.fetch_add(frontier_cols, Ordering::Relaxed);
-    }
-
-    /// Record one Hirschberg traceback's DP cells and script bytes.
-    pub fn record_trace(cells: u64, bytes: u64) {
-        TRACE_RUNS.fetch_add(1, Ordering::Relaxed);
-        TRACE_CELLS.fetch_add(cells, Ordering::Relaxed);
-        TRACE_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Read the current process-wide incremental counters at once.
-    pub fn snapshot() -> IncrSnapshot {
-        IncrSnapshot {
-            closes: CLOSES.load(Ordering::Relaxed),
-            update_batches: UPDATE_BATCHES.load(Ordering::Relaxed),
-            updates_incremental: UPDATES_INCREMENTAL.load(Ordering::Relaxed),
-            updates_full: UPDATES_FULL.load(Ordering::Relaxed),
-            full_fallbacks: FULL_FALLBACKS.load(Ordering::Relaxed),
-            blocks_probed: BLOCKS_PROBED.load(Ordering::Relaxed),
-            blocks_repropagated: BLOCKS_REPROPAGATED.load(Ordering::Relaxed),
-            blocks_total: BLOCKS_TOTAL.load(Ordering::Relaxed),
-            frontier_rows: FRONTIER_ROWS.load(Ordering::Relaxed),
-            frontier_cols: FRONTIER_COLS.load(Ordering::Relaxed),
-            trace_runs: TRACE_RUNS.load(Ordering::Relaxed),
-            trace_cells: TRACE_CELLS.load(Ordering::Relaxed),
-            trace_bytes: TRACE_BYTES.load(Ordering::Relaxed),
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn incr_counters_accumulate_and_diff() {
-            let before = snapshot();
-            record_close();
-            record_batch(3, 1, 1, 12, 4, 192, 9, 7);
-            record_trace(2048, 96);
-            let delta = snapshot().since(&before);
-            assert_eq!(delta.closes, 1);
-            assert_eq!(delta.update_batches, 1);
-            assert_eq!(delta.updates_incremental, 3);
-            assert_eq!(delta.updates_full, 1);
-            assert_eq!(delta.full_fallbacks, 1);
-            assert_eq!(delta.blocks_probed, 12);
-            assert_eq!(delta.blocks_repropagated, 4);
-            assert_eq!(delta.blocks_total, 192);
-            assert!((delta.repropagated_ratio() - 4.0 / 192.0).abs() < 1e-12);
-            assert_eq!((delta.frontier_rows, delta.frontier_cols), (9, 7));
-            assert_eq!(
-                (delta.trace_runs, delta.trace_cells, delta.trace_bytes),
-                (1, 2048, 96)
-            );
-        }
-    }
-}
-
 /// Per-processor tallies of an arbitrary additive quantity (work, cache misses,
 /// bytes moved, tasks executed, ...).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -1193,6 +571,113 @@ impl Counters {
         for (a, b) in self.per_proc.iter_mut().zip(other.per_proc.iter()) {
             *a += b;
         }
+    }
+}
+
+/// Number of power-of-two latency buckets tracked by [`LatencyHistogram`];
+/// bucket `i` covers `[2^i, 2^(i+1))` nanoseconds, so 64 buckets span from
+/// 1 ns to ~584 years.
+pub const LATENCY_BUCKETS: usize = 64;
+
+/// A lock-free log₂-bucketed latency histogram.
+///
+/// Wall-clock means and single observations are untrustworthy on a shared
+/// container, but *percentiles over thousands of requests* are a stable
+/// signal — and a fixed array of atomic bucket counters lets producers and
+/// executors record without a lock.  The resolution cost is a
+/// factor-of-two bucket width: a reported percentile is the upper bound of
+/// the bucket holding that observation.
+#[derive(Debug)]
+pub struct LatencyHistogram {
+    buckets: [AtomicU64; LATENCY_BUCKETS],
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LatencyHistogram {
+    /// An empty histogram.
+    pub const fn new() -> Self {
+        #[allow(clippy::declare_interior_mutable_const)]
+        const ZERO: AtomicU64 = AtomicU64::new(0);
+        Self {
+            buckets: [ZERO; LATENCY_BUCKETS],
+        }
+    }
+
+    /// Record one observed latency.
+    #[inline]
+    pub fn record(&self, latency: Duration) {
+        let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
+        // floor(log2(ns)) with 0 → bucket 0.
+        let bucket = (63 - ns.max(1).leading_zeros()) as usize;
+        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A point-in-time copy of the bucket counts.
+    pub fn snapshot(&self) -> LatencySnapshot {
+        let mut buckets = [0u64; LATENCY_BUCKETS];
+        for (out, counter) in buckets.iter_mut().zip(self.buckets.iter()) {
+            *out = counter.load(Ordering::Relaxed);
+        }
+        LatencySnapshot { buckets }
+    }
+}
+
+/// A point-in-time copy of a [`LatencyHistogram`]'s bucket counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatencySnapshot {
+    /// Observation counts per power-of-two bucket; bucket `i` covers
+    /// `[2^i, 2^(i+1))` nanoseconds.
+    pub buckets: [u64; LATENCY_BUCKETS],
+}
+
+impl Default for LatencySnapshot {
+    fn default() -> Self {
+        Self {
+            buckets: [0; LATENCY_BUCKETS],
+        }
+    }
+}
+
+impl LatencySnapshot {
+    /// Total observations recorded.
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().sum()
+    }
+
+    /// The `q`-quantile latency (`0.0 < q <= 1.0`), as the upper bound of
+    /// the bucket holding that observation; `None` if the histogram is
+    /// empty.
+    pub fn percentile(&self, q: f64) -> Option<Duration> {
+        let count = self.count();
+        if count == 0 {
+            return None;
+        }
+        let q = q.clamp(0.0, 1.0);
+        // Rank of the wanted observation, 1-based, at least 1.
+        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+        let mut seen = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                let upper_ns = 1u128 << (i + 1);
+                return Some(Duration::from_nanos(upper_ns.min(u64::MAX as u128) as u64));
+            }
+        }
+        unreachable!("rank <= count, so some bucket reaches it")
+    }
+
+    /// Bucket-count deltas since an earlier snapshot.
+    pub fn since(&self, earlier: &LatencySnapshot) -> LatencySnapshot {
+        let mut buckets = [0u64; LATENCY_BUCKETS];
+        for (i, out) in buckets.iter_mut().enumerate() {
+            *out = self.buckets[i] - earlier.buckets[i];
+        }
+        LatencySnapshot { buckets }
     }
 }
 
@@ -1372,6 +857,32 @@ mod tests {
     fn histogram_buckets() {
         let h = histogram(&[0.1, 0.2, 5.1, 10.0, -0.5], 5.0);
         assert_eq!(h, vec![(-5.0, 1), (0.0, 2), (5.0, 1), (10.0, 1)]);
+    }
+
+    #[test]
+    fn latency_histogram_percentiles() {
+        let h = LatencyHistogram::new();
+        assert_eq!(h.snapshot().percentile(0.5), None);
+        // 99 fast observations in [1µs, 2µs), one slow in [1ms, 2ms).
+        for _ in 0..99 {
+            h.record(Duration::from_nanos(1_500));
+        }
+        h.record(Duration::from_nanos(1_500_000));
+        let snap = h.snapshot();
+        assert_eq!(snap.count(), 100);
+        // p50 and p99 land in the fast bucket (upper bound 2^11 ns),
+        // p100 in the slow one (upper bound 2^21 ns).
+        assert_eq!(snap.percentile(0.5), Some(Duration::from_nanos(1 << 11)));
+        assert_eq!(snap.percentile(0.99), Some(Duration::from_nanos(1 << 11)));
+        assert_eq!(snap.percentile(1.0), Some(Duration::from_nanos(1 << 21)));
+        // Deltas subtract bucket-wise.
+        let empty = snap.since(&snap);
+        assert_eq!(empty.count(), 0);
+        // Zero-duration observations land in bucket 0 and report the
+        // smallest upper bound rather than panicking.
+        let h = LatencyHistogram::new();
+        h.record(Duration::ZERO);
+        assert_eq!(h.snapshot().percentile(0.5), Some(Duration::from_nanos(2)));
     }
 
     #[test]

@@ -90,9 +90,6 @@ pub struct Tuning {
     /// bit-identical closures, this knob only trades bookkeeping for bulk
     /// recompute).  Kept as an integer percentage so [`Tuning`] stays `Eq`.
     pub incr_fallback_percent: usize,
-    /// Record scheduling counters (`paco_core::metrics::sched`) around every
-    /// service run so callers can inspect wave/barrier costs.
-    pub trace: bool,
     /// Monotonic invalidation counter for plan-skeleton caches.
     ///
     /// Compiled plan skeletons depend only on (shape, `p`, tuning) — the
@@ -120,7 +117,6 @@ impl Default for Tuning {
             sort_oversampling: None,
             incr_block: INCR_BLOCK,
             incr_fallback_percent: INCR_FALLBACK_PERCENT,
-            trace: true,
             epoch: 0,
         }
     }

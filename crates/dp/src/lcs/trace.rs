@@ -14,11 +14,7 @@
 //! The recovered script is a sequence of [`EditOp`]s that replays `a` into
 //! `b`; its `Keep` count is exactly the LCS length (asserted bit-for-bit
 //! against [`lcs_reference`](crate::lcs::lcs_reference) by the `tests/incr.rs`
-//! proptests).  Work is tallied into the `incr/*` metrics counters
-//! (`trace_cells`, `trace_bytes`) — the "traceback overhead vs plain LCS"
-//! gauge is their ratio to the `n·m` cells the length-only DP would touch.
-
-use paco_core::metrics;
+//! proptests).
 
 /// One step of an edit script transforming sequence `a` into sequence `b`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,13 +123,10 @@ fn hirschberg_rec(a: &[u32], b: &[u32], script: &mut Vec<EditOp>, cells: &mut u6
 /// Recover an LCS edit script of `a` vs `b` in linear space.
 ///
 /// The returned script [`replay`]s `a` into `b` and its [`lcs_of_script`]
-/// equals the exact LCS length.  Records one `incr/trace-*` metrics sample
-/// (DP cells evaluated, script bytes produced).
+/// equals the exact LCS length.
 pub fn hirschberg(a: &[u32], b: &[u32]) -> Vec<EditOp> {
     let mut script = Vec::with_capacity(a.len().max(b.len()));
-    let mut cells = 0u64;
-    hirschberg_rec(a, b, &mut script, &mut cells);
-    metrics::incr::record_trace(cells, (script.len() * std::mem::size_of::<EditOp>()) as u64);
+    hirschberg_rec(a, b, &mut script, &mut 0);
     script
 }
 
@@ -176,16 +169,15 @@ mod tests {
     #[test]
     fn traceback_costs_at_most_twice_the_plain_dp() {
         let (a, b) = related_sequences(300, 4, 0.2, 5);
-        let before = paco_core::metrics::incr::snapshot();
-        let _ = hirschberg(&a, &b);
-        let delta = paco_core::metrics::incr::snapshot().since(&before);
-        assert_eq!(delta.trace_runs, 1);
+        let mut script = Vec::new();
+        let mut cells = 0u64;
+        hirschberg_rec(&a, &b, &mut script, &mut cells);
+        assert_eq!(script, hirschberg(&a, &b));
         let plain = (a.len() * b.len()) as u64;
         assert!(
-            delta.trace_cells <= 2 * plain + (a.len() + b.len()) as u64,
-            "cells {} vs plain {plain}",
-            delta.trace_cells
+            cells <= 2 * plain + (a.len() + b.len()) as u64,
+            "cells {cells} vs plain {plain}"
         );
-        assert!(delta.trace_bytes > 0);
+        assert!(std::mem::size_of_val(script.as_slice()) > 0);
     }
 }

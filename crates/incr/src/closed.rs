@@ -41,11 +41,9 @@
 //! columns via `L[i] = L[i] ⊗ (δᵤᵤ·1 ⊕ ...)`-style factoring through `u`.
 //! The sweep therefore touches only the rectangle, which for a single-edge
 //! update on a warm closure is a thin cross-shaped frontier, not the whole
-//! matrix — that is what the `incr/blocks-repropagated-ratio` gauge
-//! measures.
+//! matrix — that is what [`UpdateStats::repropagated_ratio`] measures.
 
 use paco_core::matrix::Matrix;
-use paco_core::metrics;
 use paco_core::semiring::IdempotentSemiring;
 use paco_graph::seq::fw_seq;
 
@@ -71,8 +69,9 @@ impl<S> EdgeUpdate<S> {
     }
 }
 
-/// Exact per-batch work accounting, mirrored into the process-wide
-/// [`metrics::incr`] counters by [`ClosedState::apply_batch`].
+/// Exact per-batch work accounting, returned by [`ClosedState::apply_batch`]
+/// (and by the service's `IncUpdate` request); [`UpdateStats::merge`] totals
+/// several batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UpdateStats {
     /// Updates in the batch.
@@ -107,6 +106,21 @@ impl UpdateStats {
             self.blocks_repropagated as f64 / self.blocks_total as f64
         }
     }
+
+    /// Field-wise sum — how a caller totals the batches it applied.
+    pub fn merge(self, other: UpdateStats) -> UpdateStats {
+        UpdateStats {
+            updates: self.updates + other.updates,
+            incremental: self.incremental + other.incremental,
+            full: self.full + other.full,
+            full_fallbacks: self.full_fallbacks + other.full_fallbacks,
+            frontier_rows: self.frontier_rows + other.frontier_rows,
+            frontier_cols: self.frontier_cols + other.frontier_cols,
+            blocks_probed: self.blocks_probed + other.blocks_probed,
+            blocks_repropagated: self.blocks_repropagated + other.blocks_repropagated,
+            blocks_total: self.blocks_total + other.blocks_total,
+        }
+    }
 }
 
 /// The dirty frontier of one eligible update, grouped by accounting block.
@@ -136,7 +150,6 @@ impl<S: IdempotentSemiring> ClosedState<S> {
     pub fn close(adj: Matrix<S>, fw_base: usize) -> Self {
         assert_eq!(adj.rows(), adj.cols(), "closure needs a square adjacency");
         let closed = fw_seq(&adj, fw_base);
-        metrics::incr::record_close();
         Self { adj, closed }
     }
 
@@ -233,16 +246,6 @@ impl<S: IdempotentSemiring> ClosedState<S> {
             stats.blocks_repropagated += repropagated;
         }
 
-        metrics::incr::record_batch(
-            stats.incremental,
-            stats.full,
-            stats.full_fallbacks,
-            stats.blocks_probed,
-            stats.blocks_repropagated,
-            stats.blocks_total,
-            stats.frontier_rows,
-            stats.frontier_cols,
-        );
         stats
     }
 

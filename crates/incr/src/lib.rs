@@ -18,9 +18,9 @@
 //!   update `D'ᵢⱼ = Dᵢⱼ ⊕ Lᵢ ⊗ Rⱼ` is applied to the *dirty rectangle*
 //!   only: the rows whose distance-to-`v` changed × the columns whose
 //!   distance-from-`u` changed (see `closed.rs` for the containment
-//!   argument).  Work is accounted per [`Tuning::incr_block`]-sized block —
-//!   the `incr/*` metrics counters — because exact counters, not timings,
-//!   are the trustworthy signal on a 1-core container.
+//!   argument).  Work is accounted per [`Tuning::incr_block`]-sized block in
+//!   the [`UpdateStats`] each batch returns — because exact counters, not
+//!   timings, are the trustworthy signal on a shared container.
 //! * **Full fallback** — a non-improving update (e.g. an edge deletion), an
 //!   unsafe cycle, or a dirty frontier above
 //!   [`Tuning::incr_fallback_percent`] of the block grid re-closes the

@@ -9,19 +9,15 @@
 //! old epoch become unreachable and age out through the LRU bound, no
 //! scanning required.
 //!
-//! Each cache keeps exact per-instance hit/miss/eviction counters (what the
-//! tests assert on) and mirrors every event into the process-wide
-//! [`paco_core::metrics::sched::plan_cache`] counters (what the benches
-//! gauge).
+//! Each cache keeps exact per-instance hit/miss/eviction counters, read
+//! through `Session::cache_stats` and `EngineStats::plan_cache`.
 
 use crate::solve::{ShapeKey, Skeleton};
-use paco_core::metrics::sched::plan_cache;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A point-in-time copy of one cache's counters — per-instance and exact,
-/// unlike the process-wide [`plan_cache`] aggregates.
+/// A point-in-time copy of one cache's counters — per-instance and exact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups served from a cached skeleton (no plan compiled).
@@ -109,12 +105,10 @@ impl SkeletonCache {
         if let Some(entry) = map.get_mut(&(key.clone(), p, epoch)) {
             entry.stamp = stamp;
             self.hits.fetch_add(1, Ordering::Relaxed);
-            plan_cache::record_hit();
             return entry.skeleton.clone();
         }
         let skeleton = compile();
         self.misses.fetch_add(1, Ordering::Relaxed);
-        plan_cache::record_miss();
         if map.len() >= self.cap {
             // Evict the least-recently-touched entry (stale-epoch entries
             // are never touched again, so they drain out first in practice).
@@ -125,7 +119,6 @@ impl SkeletonCache {
             {
                 map.remove(&oldest);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                plan_cache::record_eviction();
             }
         }
         map.insert(

@@ -39,7 +39,7 @@ use crate::solve::{Prepared, Solve};
 use crate::ticket::{self, SlotState};
 use paco_core::arena::{ArenaStats, ScratchArena};
 use paco_core::machine::available_processors;
-use paco_core::metrics::sched::ingress::{self, LatencyHistogram, LatencySnapshot};
+use paco_core::metrics::{LatencyHistogram, LatencySnapshot};
 use paco_core::tuning::Tuning;
 use paco_dist::LowerCache;
 use paco_incr::HandleRegistry;
@@ -209,7 +209,6 @@ impl EngineShared {
     /// Count one rejected submission and resolve its slot accordingly.
     pub(crate) fn reject(&self, slot: &crate::ticket::Slot) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
-        ingress::record_rejected();
         ticket::resolve(slot, SlotState::Rejected);
     }
 
@@ -320,8 +319,6 @@ impl EngineShared {
         shard.max_depth.fetch_max(depth, Ordering::Relaxed);
         shard.arrivals.fetch_add(1, Ordering::Relaxed);
         self.enqueued.fetch_add(1, Ordering::Relaxed);
-        ingress::record_enqueued();
-        ingress::record_queue_depth(depth);
     }
 
     /// Fail-fast admission ([`Client::try_submit`]): admit the request
@@ -340,7 +337,6 @@ impl EngineShared {
         if self.policy.capacity.is_some_and(|cap| queue.len() >= cap) {
             drop(queue);
             self.overloaded.fetch_add(1, Ordering::Relaxed);
-            ingress::record_overloaded();
             return false;
         }
         self.admit(shard, &mut queue, request);
@@ -395,8 +391,7 @@ pub struct ShardStats {
     pub arena: ArenaStats,
 }
 
-/// A snapshot of an engine's ingress counters (per-engine; the process-wide
-/// twins live in [`paco_core::metrics::sched::ingress`]).
+/// A snapshot of an engine's ingress counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Requests accepted into a shard queue.
@@ -559,9 +554,7 @@ impl Engine {
         self.shared.registry()
     }
 
-    /// This engine's ingress counters (exact for this engine, unlike the
-    /// process-wide [`sched::ingress`](paco_core::metrics::sched::ingress)
-    /// counters which aggregate every engine in the process).
+    /// This engine's ingress counters, exact for this engine.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             enqueued: self.shared.enqueued.load(Ordering::Relaxed),
@@ -866,7 +859,6 @@ fn executor_loop(shard_id: usize, core: PassCore, shared: Arc<EngineShared>) {
             shared
                 .expired
                 .fetch_add(expired.len() as u64, Ordering::Relaxed);
-            ingress::record_expired(expired.len() as u64);
         }
         if batch.is_empty() {
             continue;
@@ -878,18 +870,16 @@ fn executor_loop(shard_id: usize, core: PassCore, shared: Arc<EngineShared>) {
         // observed its ticket resolve also observes the pass counted.
         shard.passes.fetch_add(1, Ordering::Relaxed);
         shard.requests.fetch_add(requests, Ordering::Relaxed);
-        ingress::record_pass(shard_id, requests);
         if core.run_pass(&mut batch).is_err() {
             // The pass's tickets are already poisoned; the engine itself
             // survives and keeps serving subsequent submissions.
             shared.poisoned.fetch_add(requests, Ordering::Relaxed);
-            ingress::record_poisoned(requests);
         } else {
             let now = Instant::now();
             for request in &batch {
-                let latency = now.duration_since(request.submitted_at);
-                shared.latency.record(latency);
-                ingress::record_latency(latency);
+                shared
+                    .latency
+                    .record(now.duration_since(request.submitted_at));
             }
         }
         shard.outstanding_steps.fetch_sub(steps, Ordering::Relaxed);

@@ -160,12 +160,8 @@ impl PassCore {
     }
 
     /// Run `execute` and record the scheduling-counter delta it produced as
-    /// the core's latest [`RunStats`] (skipped when tracing is off).
+    /// the core's latest [`RunStats`].
     pub(crate) fn record(&self, requests: u64, execute: impl FnOnce()) {
-        if !self.tuning.trace {
-            execute();
-            return;
-        }
         let before = sched::snapshot();
         execute();
         let delta = sched::snapshot().since(&before);

@@ -34,7 +34,6 @@
 use crate::solve::{Compiled, ShapeKey, Skeleton, Solve, WorkloadRun};
 use paco_core::arena::ScratchArena;
 use paco_core::matrix::Matrix;
-use paco_core::metrics;
 use paco_core::proc_list::ProcId;
 use paco_core::semiring::IdempotentSemiring;
 use paco_core::tuning::Tuning;
@@ -88,7 +87,6 @@ impl<S: IdempotentSemiring> WorkloadRun for IncCloseRun<S> {
     }
     fn finish(self) -> ClosedGraph<S> {
         let closed = self.run.finish();
-        metrics::incr::record_close();
         self.registry
             .insert(ClosedState::from_parts(self.adj, closed))
     }
@@ -126,8 +124,7 @@ impl<S: IdempotentSemiring> Solve for IncClose<S> {
 }
 
 /// Apply a batch of edge assignments to a [`ClosedGraph`]'s state; resolves
-/// to the batch's exact [`UpdateStats`] (and feeds the process-wide
-/// `incr/*` metrics counters).
+/// to the batch's exact [`UpdateStats`].
 ///
 /// The batch is applied atomically — one lock acquisition over the whole
 /// slice, in submission order — inside the request's single plan step.
@@ -361,9 +358,8 @@ impl<S: IdempotentSemiring> Solve for IncDrop<S> {
 /// the length.
 ///
 /// Runs Hirschberg's linear-space recovery as a single sequential step
-/// (costing ≈ 2× the DP cells of the length-only computation — the
-/// `incr/traceback-overhead` gauge); batch several `LcsTrace` requests to
-/// overlap them across processors.
+/// (costing at most 2× the DP cells of the length-only computation); batch
+/// several `LcsTrace` requests to overlap them across processors.
 #[derive(Debug, Clone)]
 pub struct LcsTrace {
     /// First sequence (the script's `Keep`/`Delete` source).

@@ -15,8 +15,7 @@ use std::sync::Arc;
 
 /// Scheduling cost of the most recent [`Session::run`],
 /// [`Session::run_batch`] or [`Session::flush`], read off the
-/// [`paco_core::metrics::sched`] counters (recorded while
-/// [`Tuning::trace`] is on, the default).
+/// driving thread's [`paco_core::metrics::sched`] counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Requests executed by the pass.
@@ -110,7 +109,7 @@ impl Session {
     }
 
     /// Scheduling counters of the most recent `run`/`run_batch`/`flush`
-    /// (all-zero until one executed with [`Tuning::trace`] on).
+    /// (all-zero until one executed).
     pub fn last_stats(&self) -> RunStats {
         self.core.last_stats()
     }
@@ -145,9 +144,8 @@ impl Session {
 
     /// This session's scratch-arena counters: buffer checkouts served from
     /// the pool (hits) vs. fresh allocations (misses).  The first pass of a
-    /// shape is all misses; warm re-runs should show hits — the
-    /// `service/arena-reuse-ratio` gauge in the bench harness tracks
-    /// [`ArenaStats::reuse_ratio`] of exactly these counters.
+    /// shape is all misses; warm re-runs should show hits
+    /// ([`ArenaStats::reuse_ratio`]).
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
     }

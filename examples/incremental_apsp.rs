@@ -13,12 +13,11 @@
 //!
 //! Run with `cargo run -p paco_examples --release --example incremental_apsp`.
 
-use paco_core::metrics;
 use paco_core::semiring::MinPlus;
 use paco_core::workload::random_digraph;
 use paco_examples::section;
 use paco_graph::fw_reference;
-use paco_service::{EdgeUpdate, IncClose, IncSnapshot, IncUpdate, Session};
+use paco_service::{EdgeUpdate, IncClose, IncSnapshot, IncUpdate, Session, UpdateStats};
 use std::sync::Arc;
 
 fn main() {
@@ -68,15 +67,15 @@ fn main() {
         (nb * nb) as u64
     };
     println!("update           path         dirty rows×cols   blocks swept (grid {grid})");
+    let mut totals = UpdateStats::default();
     for update in stream {
         shadow[(update.from, update.to)] = update.weight;
-        let before = metrics::incr::snapshot();
         let stats = session.run(IncUpdate {
             handle,
             updates: vec![update],
             registry: Arc::clone(&registry),
         });
-        let delta = metrics::incr::snapshot().since(&before);
+        totals = totals.merge(stats);
         let path = if stats.full > 0 {
             "full re-close"
         } else {
@@ -87,9 +86,9 @@ fn main() {
             update.from,
             update.to,
             update.weight.0,
-            delta.frontier_rows,
-            delta.frontier_cols,
-            delta.blocks_repropagated,
+            stats.frontier_rows,
+            stats.frontier_cols,
+            stats.blocks_repropagated,
         );
         // Every intermediate state is exact, not eventually-consistent.
         let snapshot = session.run(IncSnapshot {
@@ -104,12 +103,11 @@ fn main() {
     }
 
     section("Totals");
-    let snap = metrics::incr::snapshot();
     println!(
         "updates: {} incremental + {} via full re-closure; blocks swept/total = {:.3}",
-        snap.updates_incremental,
-        snap.updates_full,
-        snap.repropagated_ratio()
+        totals.incremental,
+        totals.full,
+        totals.repropagated_ratio()
     );
     println!("every snapshot matched the triple-loop reference — done");
 }

@@ -8,7 +8,7 @@
 use paco_cache_sim::distributed::{paco_mm_distributed, paco_strassen_distributed};
 use paco_core::semiring::BoolSemiring;
 use paco_core::workload;
-use paco_dist::{ceil_log2, lower, run_lowered, FwDist, MmDist, StrassenDist};
+use paco_dist::{ceil_log2, lower, run_lowered, FwDist, LcsDist, MmDist, StrassenDist};
 use paco_graph::plan_fw;
 use paco_matmul::{plan_mm_1piece, plan_strassen, MmConfig, StrassenOptions, StrassenRun};
 use paco_service::{Apsp, Backend, Closure, Lcs, MatMul, Session, Sort, Strassen};
@@ -314,6 +314,21 @@ fn critical_path_messages_grow_logarithmically() {
             stats.comm.critical_path_messages
         );
     }
+}
+
+/// LCS ships a single word home — the corner of the DP table, the smallest
+/// possible gather — however many ranks computed the table.
+#[test]
+fn lcs_gathers_exactly_one_word() {
+    let a = workload::random_sequence(96, 4, 21);
+    let b = workload::random_sequence(80, 4, 22);
+    let p = 4;
+    let compiled = Arc::new(paco_dp::lcs::plan_paco_lcs(a.len(), b.len(), p, 32));
+    let pl = placement(p);
+    let w = LcsDist::new(a, b, Arc::clone(&compiled), 32);
+    let sp = lower(&w, &compiled.plan, &pl);
+    let (_, stats) = run_lowered(&w, &compiled.plan, &pl, &sp);
+    assert_eq!(stats.comm.gather_words, 1);
 }
 
 /// Every send is metered: the per-rank word ledgers must add up exactly to

@@ -10,16 +10,23 @@
 //!   `BoolSemiring`, `Bottleneck`);
 //! * **traceback** — every `LcsTrace` edit script replays its first
 //!   sequence into the second exactly, and its `Keep` count equals the
-//!   reference LCS length.
+//!   reference LCS length;
+//! * **incrementality** — a stream of modest single-edge improvements is
+//!   served mostly by re-propagation, sweeping well under half of the block
+//!   grid a full re-closure rewrites (summed from the returned
+//!   `UpdateStats`).
 //!
 //! Sizes are drawn from ranges straddling non-powers-of-two, so block
 //! boundaries with ragged tails are always exercised.
 
 use paco_core::matrix::Matrix;
 use paco_core::semiring::{BoolSemiring, Bottleneck, MinPlus, Semiring};
+use paco_core::tuning::{INCR_BLOCK, INCR_FALLBACK_PERCENT};
 use paco_core::workload::{random_adjacency, random_digraph, related_sequences};
 use paco_graph::fw_reference;
-use paco_service::{ClosedState, EdgeUpdate, IncClose, IncSnapshot, IncUpdate, LcsTrace, Session};
+use paco_service::{
+    ClosedState, EdgeUpdate, IncClose, IncSnapshot, IncUpdate, LcsTrace, Session, UpdateStats,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -207,4 +214,52 @@ fn lcs_trace_request_handles_degenerate_shapes() {
         });
         assert_eq!(paco_dp::lcs::replay(&script, &a), b);
     }
+}
+
+/// 32 improving single-edge updates on an `n = 256` `MinPlus` closure,
+/// applied one at a time (the online arrival pattern) at the default block
+/// and fallback threshold.  Each is a shortcut of weight `d(u, v) − 1` — the
+/// ordinary "a link got slightly faster" event the dirty-frontier path is
+/// for.  Summed over the stream, the sweep must rewrite under half of the
+/// blocks full re-closures would, and re-propagation must serve more
+/// updates than fallbacks absorb.
+#[test]
+fn single_edge_improvements_sweep_under_half_the_grid() {
+    const FW_BASE: usize = 64;
+    let mut state = ClosedState::close(random_digraph(256, 0.15, 50, 17), FW_BASE);
+    let n = state.n();
+    let mut seed = 23u64;
+    let mut next = move || {
+        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut totals = UpdateStats::default();
+    for _ in 0..32 {
+        let update = loop {
+            let u = next() as usize % n;
+            let v = (u + 1 + next() as usize % (n - 1)) % n;
+            let d = state.closed()[(u, v)].0;
+            if d.is_finite() && d > 1.0 {
+                break EdgeUpdate::new(u, v, MinPlus(d - 1.0));
+            }
+        };
+        let stats = state.apply_batch(&[update], INCR_BLOCK, INCR_FALLBACK_PERCENT, FW_BASE);
+        totals = totals.merge(stats);
+    }
+    assert_eq!(totals.updates, 32);
+    assert!(
+        totals.repropagated_ratio() < 0.5,
+        "swept {} of {} blocks",
+        totals.blocks_repropagated,
+        totals.blocks_total
+    );
+    assert!(
+        totals.incremental > totals.full_fallbacks,
+        "{} incremental vs {} fallbacks",
+        totals.incremental,
+        totals.full_fallbacks
+    );
 }

@@ -217,6 +217,6 @@ fn arena_reuse_keeps_outputs_identical_across_warm_passes() {
     );
     assert!(
         warm.reuse_ratio() > 0.0,
-        "service/arena-reuse-ratio gauge must be positive: {warm:?}"
+        "arena reuse ratio must be positive: {warm:?}"
     );
 }
