@@ -45,8 +45,9 @@ fn bench_mm(c: &mut Criterion) {
 
     // Kernel-dispatch gauges: how many leaf multiplications of one PACO run
     // took the runtime-selected `f64` microkernel vs. the generic loop, and
-    // which microkernel this process dispatched to (1 = avx2+fma).  One tick
-    // per leaf call, so the counts also show the leaf granularity.
+    // whether this process dispatched to a vector microkernel (1 = avx512f
+    // or avx2+fma, 0 = portable).  One tick per leaf call, so the counts
+    // also show the leaf granularity.
     let before = paco_core::metrics::sched::kernel::snapshot();
     std::hint::black_box(session.run(MatMul {
         a: a.clone(),
@@ -56,8 +57,8 @@ fn bench_mm(c: &mut Criterion) {
     criterion::record_metric("kernel/mm-leaf-simd", delta.mm_leaf_simd as f64);
     criterion::record_metric("kernel/mm-leaf-generic", delta.mm_leaf_generic as f64);
     criterion::record_metric(
-        "kernel/simd-avx2",
-        f64::from(u8::from(paco_core::simd::simd_mode() == "avx2+fma")),
+        "kernel/simd-vector",
+        f64::from(u8::from(paco_core::simd::simd_mode() != "portable")),
     );
 }
 

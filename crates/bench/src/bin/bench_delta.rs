@@ -40,7 +40,7 @@ const COUNTER_GATE: f64 = 3.0;
 /// Label substrings that mark a gauge as a *counter*: a deterministic
 /// structural count where more is strictly worse.  Ratios, latencies,
 /// throughputs and queue depths are load- or clock-dependent and stay
-/// advisory; specialization counters (`*-leaf-specialized`, `simd-avx2`)
+/// advisory; specialization counters (`*-leaf-specialized`, `simd-vector`)
 /// are higher-is-better and are guarded instead by their `*-leaf-generic`
 /// twins, which sit at 0 in the baseline and trip the off-zero rule on any
 /// fallback.

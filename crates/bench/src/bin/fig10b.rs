@@ -35,6 +35,13 @@ fn main() {
     let mut ratios = Vec::new();
     for t in &timings {
         let ratio = rmax_over_rpeak(t.n, t.m, t.k, t.secs, peak);
+        assert!(
+            ratio <= 100.0,
+            "{}x{}x{}: Rmax/Rpeak {ratio:.1}% exceeds the calibrated peak",
+            t.n,
+            t.m,
+            t.k
+        );
         ratios.push(ratio);
         table.row(&[
             format!("{}x{} * {}x{}", t.n, t.k, t.k, t.m),

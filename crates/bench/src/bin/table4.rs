@@ -38,6 +38,15 @@ fn main() {
             .iter()
             .map(|t| rmax_over_rpeak(t.n, t.m, t.k, t.secs, peak))
             .collect();
+        for (t, pct) in timings.iter().zip(&ratios) {
+            assert!(
+                *pct <= 100.0,
+                "{name} at {}x{}x{}: Rmax/Rpeak {pct:.1}% exceeds the calibrated peak",
+                t.n,
+                t.m,
+                t.k
+            );
+        }
         let stats = series_stats(&ratios);
         table.row(&[
             name.to_string(),

@@ -67,13 +67,11 @@ unsafe impl<T: Send> Send for SharedGrid<T> {}
 unsafe impl<T: Send> Sync for SharedGrid<T> {}
 
 impl<T: Copy> SharedGrid<T> {
-    /// A `rows × cols` grid with every cell initialised to `fill`.
+    /// A `rows × cols` grid with every cell initialised to `fill`, in one
+    /// `vec!` allocation — for an all-zero-bits `fill` (`0`, `0.0`) that is
+    /// a zeroed allocation with no per-cell write.
     pub fn new(rows: usize, cols: usize, fill: T) -> Self {
-        Self {
-            cells: (0..rows * cols).map(|_| UnsafeCell::new(fill)).collect(),
-            rows,
-            cols,
-        }
+        Self::from_vec(rows, cols, vec![fill; rows * cols])
     }
 
     /// A `rows × cols` grid over an existing row-major vector (e.g. one
@@ -181,11 +179,10 @@ unsafe impl<T: Send> Send for SharedSlice<T> {}
 unsafe impl<T: Send> Sync for SharedSlice<T> {}
 
 impl<T: Copy> SharedSlice<T> {
-    /// An array of `len` cells initialised to `fill`.
+    /// An array of `len` cells initialised to `fill`, in one `vec!`
+    /// allocation (zeroed, with no per-cell write, for an all-zero `fill`).
     pub fn new(len: usize, fill: T) -> Self {
-        Self {
-            cells: (0..len).map(|_| UnsafeCell::new(fill)).collect(),
-        }
+        Self::from_vec(vec![fill; len])
     }
 
     /// Build from an existing vector; no copy is made.

@@ -60,39 +60,6 @@ pub fn blocked_parallel_mm(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
     c
 }
 
-/// Single-threaded version of the same tiled kernel; used by the benchmark
-/// harness to calibrate per-core peak throughput for the `Rmax/Rpeak` table.
-pub fn blocked_sequential_mm(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let n = a.rows();
-    let k = a.cols();
-    let m = b.cols();
-    let mut c = Matrix::zeros(n, m);
-    let a_data = a.data();
-    let b_data = b.data();
-    let c_data = c.data_mut();
-    for i0 in (0..n).step_by(TILE_I) {
-        let i1 = (i0 + TILE_I).min(n);
-        for k0 in (0..k).step_by(TILE_K) {
-            let k1 = (k0 + TILE_K).min(k);
-            for j0 in (0..m).step_by(TILE_J) {
-                let j1 = (j0 + TILE_J).min(m);
-                for i in i0..i1 {
-                    let a_row = &a_data[i * k..(i + 1) * k];
-                    for l in k0..k1 {
-                        let ail = a_row[l];
-                        let b_row = &b_data[l * m..(l + 1) * m];
-                        for j in j0..j1 {
-                            c_data[i * m + j] = ail.mul_add(b_row[j], c_data[i * m + j]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,15 +80,6 @@ mod tests {
             let got = blocked_parallel_mm(&a, &b);
             assert!(expect.approx_eq(&got, 1e-9), "n={n} m={m} k={k}");
         }
-    }
-
-    #[test]
-    fn sequential_matches_parallel() {
-        let a = random_matrix_f64(75, 90, 5);
-        let b = random_matrix_f64(90, 60, 6);
-        let p = blocked_parallel_mm(&a, &b);
-        let s = blocked_sequential_mm(&a, &b);
-        assert!(p.approx_eq(&s, 1e-12));
     }
 
     #[test]

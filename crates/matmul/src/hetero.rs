@@ -65,8 +65,8 @@ pub fn unaware_mm<S: Semiring>(
 mod tests {
     use super::*;
     use crate::co_mm::mm_reference;
-    use paco_core::machine::HeteroSpec;
-    use paco_core::metrics::min_time_of;
+    use crate::paco_mm::{plan_mm_1piece, MmJob};
+    use paco_core::machine::{HeteroSpec, MachineConfig};
     use paco_core::workload::random_matrix_wrapping;
 
     #[test]
@@ -81,37 +81,43 @@ mod tests {
         assert_eq!(expect, unaware_mm(&a, &b, &pool, &throttle));
     }
 
-    #[test]
-    fn aware_split_is_faster_on_the_emulated_heterogeneous_machine() {
-        // One fast core (ratio 4) and three slow ones.  The unaware split gives
-        // every core the same share, so its makespan is gated by a slow core
-        // doing ~1/4 of the work at 1/4 speed; the aware split gives the fast
-        // core ~4/7 of the work.  Expect a clear win (we only require 15% to
-        // keep the test robust on noisy CI machines).
-        //
-        // The workload is the exact integer ring, *not* `f64`: the throttle
-        // emulates a slow core by repeating leaf kernels, which models time
-        // faithfully only while every semiring op costs the same.  The
-        // `WrappingRing` leaves run the uniform-cost generic loop; the `f64`
-        // leaves dispatch to the SIMD microkernel, whose throughput varies
-        // with block shape by more than the margin this test asserts.
-        let n = 320;
-        let a = random_matrix_wrapping(n, n, 31);
-        let b = random_matrix_wrapping(n, n, 32);
-        let spec = HeteroSpec::new(vec![4.0, 1.0, 1.0, 1.0]);
-        let throttle = ThrottleSpec::from_spec(&spec);
-        let pool = WorkerPool::new(4);
+    /// Speed-weighted plan efficiency `Σwork / (Σspeed · makespan)` of the
+    /// 1-PIECE plan for an `n³` product, split by `fractions` (`None` =
+    /// the even, heterogeneity-unaware split).
+    fn weighted_eff(n: usize, spec: &HeteroSpec, fractions: Option<Vec<f64>>) -> f64 {
+        let cfg = MmConfig {
+            fractions,
+            ..MmConfig::default()
+        };
+        plan_mm_1piece(n, n, n, spec.p(), &cfg)
+            .plan
+            .profile(Some(spec.ratios()), MmJob::cost)
+            .eff()
+    }
 
-        let t_aware = min_time_of(3, || {
-            std::hint::black_box(hetero_mm(&a, &b, &pool, &throttle))
-        });
-        let t_unaware = min_time_of(3, || {
-            std::hint::black_box(unaware_mm(&a, &b, &pool, &throttle))
-        });
-        assert!(
-            t_unaware > 1.15 * t_aware,
-            "aware {t_aware:.4}s should beat unaware {t_unaware:.4}s clearly"
-        );
+    #[test]
+    fn aware_split_balances_the_emulated_heterogeneous_machine() {
+        // Corollary 12 as a count: weighted by each core's speed, the aware
+        // split keeps every core busy to the end, while the even split waits
+        // on a slow core and reaches only `p / Σspeed` (every core finishes
+        // `1/p` of the work, the slowest at speed 1).
+        for spec in [
+            MachineConfig::xeon_72core().hetero_spec(),
+            HeteroSpec::new(vec![4.0, 1.0, 1.0, 1.0]),
+            HeteroSpec::new(vec![3.0, 1.0, 1.0, 1.0]),
+        ] {
+            let ideal_unaware = spec.p() as f64 / spec.total_throughput();
+            for n in [768, 4096] {
+                let aware = weighted_eff(n, &spec, Some(spec.fractions()));
+                let unaware = weighted_eff(n, &spec, None);
+                assert!(aware >= 0.99, "p={} n={n}: aware eff {aware:.4}", spec.p());
+                assert!(
+                    (unaware - ideal_unaware).abs() <= 0.005,
+                    "p={} n={n}: unaware eff {unaware:.4}, expected {ideal_unaware:.4}",
+                    spec.p()
+                );
+            }
+        }
     }
 
     #[test]

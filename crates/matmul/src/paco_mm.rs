@@ -219,6 +219,19 @@ pub enum MmJob {
     },
 }
 
+impl MmJob {
+    /// Semiring multiply-adds (a leaf) or element additions (a reduction
+    /// band) the job performs — the unit [`Plan::profile`] weighs MM plans
+    /// in.
+    pub fn cost(&self) -> u64 {
+        let volume = match self {
+            MmJob::Leaf { c, a, .. } => c.rect.rows * c.rect.cols * a.cols,
+            MmJob::Add { c, .. } => c.rect.rows * c.rect.cols,
+        };
+        volume as u64
+    }
+}
+
 /// The compiled MM-1-PIECE schedule: the wave plan plus the shapes of the
 /// temporaries its height cuts need (allocated fresh by the executor).
 #[derive(Debug, Clone)]
@@ -467,12 +480,10 @@ impl<S: Semiring> MmBuffers<S> {
         }
     }
 
+    /// Move the output grid's storage into the result (no copy).
     fn into_output(self) -> Matrix<S> {
-        Matrix::from_vec(
-            self.c_grid.rows(),
-            self.c_grid.cols(),
-            self.c_grid.snapshot(),
-        )
+        let (rows, cols) = (self.c_grid.rows(), self.c_grid.cols());
+        Matrix::from_vec(rows, cols, self.c_grid.into_vec())
     }
 }
 
@@ -648,6 +659,22 @@ mod tests {
         let plan = plan_mm_1piece(16, 16, big_k, 6, &MmConfig::default());
         assert!(!plan.temps.is_empty());
         assert!(plan.plan.iter().any(|s| matches!(s.job, MmJob::Add { .. })));
+    }
+
+    #[test]
+    fn finish_returns_the_output_grids_own_allocation() {
+        // 96×80×64 on p = 2: one X cut, so the output grid is written in
+        // place by both leaves and must come back without a copy.
+        let a = random_matrix_f64(96, 64, 13);
+        let b = random_matrix_f64(64, 80, 14);
+        let expect = mm_reference(&a, &b);
+        let run = MmRun::prepare(a, b, 2, MmConfig::default());
+        let bound = run.buffers.c_grid.cell_ptr(0, 0).cast_const();
+        let pool = WorkerPool::new(2);
+        run.plan().execute(&pool, |proc, job| run.step(proc, job));
+        let got = run.finish();
+        assert_eq!(got.data().as_ptr(), bound, "finish must move, not copy");
+        assert!(expect.approx_eq(&got, 1e-9));
     }
 
     #[test]

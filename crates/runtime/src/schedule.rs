@@ -146,18 +146,32 @@ impl<J> Plan<J> {
     }
 
     /// Weigh the plan under the barrier semantics of [`Plan::execute`]: a
-    /// wave lasts as long as its most loaded processor, so
-    /// `makespan = Σ_waves max_q Σ cost` — the paper's `T^max_p` as a count.
-    pub fn profile(&self, cost: impl Fn(&J) -> u64) -> PlanProfile {
+    /// wave lasts as long as its slowest processor, so
+    /// `makespan = Σ_waves max_q (Σ cost) / speed_q` — the paper's
+    /// `T^max_p` as a count.  `speeds` gives each processor's relative
+    /// throughput (Corollary 12's `tᵢ`); `None` means every processor runs
+    /// at speed 1.
+    ///
+    /// # Panics
+    ///
+    /// If `speeds` does not have one positive entry per processor.
+    pub fn profile(&self, speeds: Option<&[f64]>, cost: impl Fn(&J) -> u64) -> PlanProfile {
+        let speeds = speeds.map_or_else(|| vec![1.0; self.p], <[f64]>::to_vec);
+        assert_eq!(speeds.len(), self.p, "one speed per processor");
+        assert!(speeds.iter().all(|&s| s > 0.0), "speeds must be positive");
         let mut per_proc = vec![0u64; self.p];
-        let mut makespan = 0u64;
+        let mut makespan = 0.0;
         let mut in_wave = vec![0u64; self.p];
         for wave in &self.waves {
             in_wave.fill(0);
             for step in wave {
                 in_wave[step.proc] += cost(&step.job);
             }
-            makespan += in_wave.iter().copied().max().unwrap_or(0);
+            makespan += in_wave
+                .iter()
+                .zip(&speeds)
+                .map(|(&w, &s)| w as f64 / s)
+                .fold(0.0, f64::max);
             for (total, w) in per_proc.iter_mut().zip(&in_wave) {
                 *total += w;
             }
@@ -166,6 +180,7 @@ impl<J> Plan<J> {
             work: per_proc.iter().sum(),
             makespan,
             per_proc,
+            speeds,
         }
     }
 
@@ -256,21 +271,25 @@ impl<J> Plan<J> {
 
 /// What [`Plan::profile`] counts: total work, barrier-semantics makespan and
 /// the work placed on each processor, all in the caller's cost unit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanProfile {
     /// Total cost of every step (`T_1`).
     pub work: u64,
-    /// `Σ_waves max_q Σ cost` (`T^max_p` under one barrier per wave).
-    pub makespan: u64,
+    /// `Σ_waves max_q (Σ cost) / speed_q` (`T^max_p` under one barrier per
+    /// wave); an integer count when every speed is 1.
+    pub makespan: f64,
     /// Cost placed on each processor.
     pub per_proc: Vec<u64>,
+    /// The per-processor speeds the makespan was weighed at.
+    pub speeds: Vec<f64>,
 }
 
 impl PlanProfile {
-    /// `work / (p · makespan)`: 1.0 means no processor ever waits at a
-    /// barrier, `1/p` means the plan never runs two processors at once.
+    /// `work / (Σ speed · makespan)`: 1.0 means no processor ever waits at
+    /// a barrier; at unit speeds, `1/p` means the plan never runs two
+    /// processors at once.
     pub fn eff(&self) -> f64 {
-        self.work as f64 / (self.per_proc.len() as f64 * self.makespan as f64)
+        self.work as f64 / (self.speeds.iter().sum::<f64>() * self.makespan)
     }
 
     /// Busiest processor's work over the mean (`≥ 1`); blind to idling.
@@ -713,12 +732,18 @@ mod tests {
                 vec![Step { proc: 1, job: 5 }],
             ],
         );
-        let prof = plan.profile(|&c| c);
+        let prof = plan.profile(None, |&c| c);
         assert_eq!(prof.work, 11);
-        assert_eq!(prof.makespan, 4 + 5);
+        assert_eq!(prof.makespan, (4 + 5) as f64);
         assert_eq!(prof.per_proc, vec![4, 7]);
         assert!((prof.eff() - 11.0 / 18.0).abs() < 1e-12);
         assert!((prof.imbalance() - 14.0 / 11.0).abs() < 1e-12);
+
+        // p0 twice as fast: wave 0 lasts max(4/2, 2/1) = 2, wave 1 lasts 5.
+        let fast = plan.profile(Some(&[2.0, 1.0]), |&c| c);
+        assert_eq!(fast.makespan, 2.0 + 5.0);
+        assert_eq!(fast.per_proc, prof.per_proc);
+        assert!((fast.eff() - 11.0 / (3.0 * 7.0)).abs() < 1e-12);
     }
 
     #[test]

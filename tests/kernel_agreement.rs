@@ -8,7 +8,11 @@
 //! * `mm_base` over `f64` (which dispatches to the runtime-selected
 //!   [`paco_core::simd`] microkernel) against a hand-written per-element
 //!   reference in the same `i`-`l`-`j` fused-accumulation order, and the
-//!   dispatched kernel against the portable one.
+//!   dispatched kernel against the portable one — on random shapes, on the
+//!   tile-edge shapes of the 8×16 and 4×8 tiles, and on 48³/64³ leaves
+//!   addressed inside 768-wide matrices.
+//! * `Session` `MatMul<f64>` at 768³ against `co_mm_alloc`, bit for bit,
+//!   for processor counts with and without height-cut temporaries.
 //! * `mm_base` over [`WrappingRing`] — exact integer arithmetic, so the
 //!   row-sliced refactor of the generic loop is checked with no tolerance.
 //! * The Floyd–Warshall [`relax`] kernel over `MinPlus` and `BoolSemiring`:
@@ -23,7 +27,7 @@
 
 use paco_cache_sim::{NullTracker, SimTracker};
 use paco_core::machine::CacheParams;
-use paco_core::matrix::Matrix;
+use paco_core::matrix::{MatMut, MatRef, Matrix};
 use paco_core::semiring::Semiring;
 use paco_core::simd::{mm_f64, mm_f64_portable, simd_mode};
 use paco_core::workload::{
@@ -32,8 +36,9 @@ use paco_core::workload::{
 };
 use paco_dp::lcs::kernel::{base_block, lcs_reference, LcsAddr, LcsTable};
 use paco_graph::{fw_reference, relax, FwAddr, FwTable};
+use paco_matmul::co_mm::co_mm_alloc;
 use paco_matmul::kernel::mm_base;
-use paco_service::{Lcs, Session, Sort};
+use paco_service::{Lcs, MatMul, Session, Sort};
 use proptest::prelude::*;
 
 /// The per-element generic loop `mm_base` historically ran: same
@@ -46,6 +51,49 @@ fn mm_generic_reference<S: Semiring>(c: &mut Matrix<S>, a: &Matrix<S>, b: &Matri
                 c.set(i, j, c.get(i, j).mul_add(ail, b.get(l, j)));
             }
         }
+    }
+}
+
+/// An `f64` leaf kernel `C += A · B` over windows.
+type F64Kernel = fn(&mut MatMut<'_, f64>, &MatRef<'_, f64>, &MatRef<'_, f64>);
+
+fn bits(m: &Matrix<f64>) -> Vec<u64> {
+    m.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `C += A · B` through `mm_f64`, `mm_f64_portable` and `mm_base` on a
+/// window of `c` at `(r0, c0)`, with `a` and `b` windows too; each must
+/// match the generic loop bit for bit.
+fn assert_f64_leaves_agree(
+    c: &Matrix<f64>,
+    r0: usize,
+    c0: usize,
+    a: MatRef<'_, f64>,
+    b: MatRef<'_, f64>,
+) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let mut window = c.as_ref().submatrix(r0, c0, m, n).to_matrix();
+    mm_generic_reference(&mut window, &a.to_matrix(), &b.to_matrix());
+    let mut generic = c.clone();
+    generic
+        .as_mut()
+        .submatrix_mut(r0, c0, m, n)
+        .copy_from(&window.as_ref());
+    let runs: [(&str, F64Kernel); 3] = [
+        ("mm_f64", mm_f64),
+        ("mm_f64_portable", mm_f64_portable),
+        ("mm_base", mm_base),
+    ];
+    for (name, kernel) in runs {
+        let mut got = c.clone();
+        kernel(&mut got.as_mut().submatrix_mut(r0, c0, m, n), &a, &b);
+        assert!(
+            bits(&got) == bits(&generic),
+            "{m}x{k}x{n} at ({r0}, {c0}) of {}x{}: {name} disagrees under mode {}",
+            c.rows(),
+            c.cols(),
+            simd_mode()
+        );
     }
 }
 
@@ -183,6 +231,72 @@ proptest! {
         base_block(&generic, a, b, 1..n + 1, 1..m + 1, &mut sim_tracker(), &addr);
         prop_assert_eq!(fast.grid().snapshot(), generic.grid().snapshot());
         prop_assert_eq!(fast.lcs_length(), lcs_reference(a, b));
+    }
+}
+
+/// The shapes around the 8×16 AVX-512 tile and the 4×8 AVX2 tile: full
+/// tiles, an empty reduction, one-off right strips and bottom bands.
+#[test]
+fn f64_tile_edge_shapes_are_bit_identical() {
+    for (idx, &(m, k, n)) in [
+        (8usize, 8usize, 16usize),
+        (8, 0, 16),
+        (9, 5, 17),
+        (16, 3, 31),
+        (7, 4, 16),
+        (24, 48, 40),
+        (13, 1, 33),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let seed = 100 + idx as u64;
+        let a = random_matrix_f64(m, k, seed);
+        let b = random_matrix_f64(k, n, seed ^ 0x9e37);
+        let c = random_matrix_f64(m, n, seed ^ 0x79b9);
+        assert_f64_leaves_agree(&c, 0, 0, a.as_ref(), b.as_ref());
+    }
+}
+
+/// 48³ and 64³ leaves addressed inside 768-wide matrices (a 6 KiB row
+/// stride), as the cache-oblivious recursion hands them down at 768³.
+#[test]
+fn f64_leaves_inside_768_wide_matrices_are_bit_identical() {
+    const W: usize = 768;
+    let big_a = random_matrix_f64(W, W, 41);
+    let big_b = random_matrix_f64(W, W, 42);
+    let big_c = random_matrix_f64(W, W, 43);
+    for s in [48usize, 64] {
+        let (r0, c0, l0) = (3 * s, 5 * s, 2 * s);
+        let a = big_a.as_ref().submatrix(r0, l0, s, s);
+        let b = big_b.as_ref().submatrix(l0, c0, s, s);
+        assert_f64_leaves_agree(&big_c, r0, c0, a, b);
+    }
+}
+
+/// A `Session` `MatMul<f64>` at 768³ returns exactly `co_mm_alloc`'s
+/// product.  p = 5 and p = 7 cut the reduction dimension, so their plans
+/// also write height-cut temporaries and merge them.  The entries are
+/// small integers, so every partial sum is exact and the product is the
+/// same bits in any summation order: the check isolates the buffers, the
+/// plan and the leaves from rounding.
+#[test]
+fn session_matmul_f64_768_matches_co_mm_bit_for_bit() {
+    const N: usize = 768;
+    let small_ints = |seed: u64| {
+        let m = random_matrix_f64(N, N, seed);
+        Matrix::from_fn(N, N, |i, j| (m.get(i, j) * 8.0).round())
+    };
+    let a = small_ints(51);
+    let b = small_ints(52);
+    let expect = bits(&co_mm_alloc(&a, &b));
+    for p in [1usize, 2, 3, 5, 7] {
+        let session = Session::new(p);
+        let got = session.run(MatMul {
+            a: a.clone(),
+            b: b.clone(),
+        });
+        assert!(bits(&got) == expect, "p = {p} under mode {}", simd_mode());
     }
 }
 

@@ -118,7 +118,7 @@ fn floyd_warshall_plans_keep_every_processor_busy() {
     ];
     for &(p, eff, waves, steps) in TABLE {
         let plan = plan_fw(384, p, 32).plan;
-        let prof = plan.profile(LeafCall::cost);
+        let prof = plan.profile(None, LeafCall::cost);
         assert!(
             prof.eff() >= eff - 0.001,
             "p={p}: plan_eff {:.4} < {eff}",
@@ -133,7 +133,7 @@ fn floyd_warshall_plans_keep_every_processor_busy() {
             _ => {}
         }
     }
-    let profile = |n, p, base| plan_fw(n, p, base).plan.profile(LeafCall::cost);
+    let profile = |n, p, base| plan_fw(n, p, base).plan.profile(None, LeafCall::cost);
     // Deeper and shallower recursions: two processors stay busy together.
     assert!(profile(512, 2, 32).eff() >= 0.99);
     assert!(profile(48, 2, 32).eff() >= 0.66);
