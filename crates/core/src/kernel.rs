@@ -24,12 +24,19 @@
 //!   the exact x86 `minpd`/`maxpd` semantics, so the rows vectorize — which
 //!   equals `f64::min`/`max` for all non-NaN inputs (`±0.0` ties may differ
 //!   in sign bit but compare `==`; NaN distances are outside the kernels'
-//!   contract, as they are for `f64::min`/`max` themselves).
+//!   contract, as they are for `f64::min`/`max` themselves);
+//! * `MinPlus` and `BoolSemiring` answer the two block hooks
+//!   ([`mm_block`](SpecializedKernel::mm_block) and
+//!   [`relax_block`](SpecializedKernel::relax_block)) with the AVX-512
+//!   leaves of [`crate::simd`] when the process dispatched to them, and
+//!   decline otherwise, so their row hooks run exactly as before.
 
 use crate::matrix::{MatMut, MatRef};
 use crate::semiring::{
     BoolSemiring, Bottleneck, CountMod, MaxPlus, MinPlus, Viterbi, WrappingRing,
 };
+use crate::shared::SharedGrid;
+use std::ops::Range;
 
 mod sealed {
     pub trait Sealed {}
@@ -75,6 +82,23 @@ pub trait SpecializedKernel: sealed::Sealed + Sized {
     /// Return `true` if handled.
     #[inline]
     fn mm_block(_c: &mut MatMut<'_, Self>, _a: &MatRef<'_, Self>, _b: &MatRef<'_, Self>) -> bool {
+        false
+    }
+
+    /// In-place Floyd–Warshall block relax over one shared table:
+    /// `D[i][j] = D[i][j] ⊕ (D[i][k] ⊗ D[k][j])` for `k ∈ via`, then
+    /// `i ∈ rows`, then `j ∈ cols`, reading `D[i][k]` once per `(k, i)` —
+    /// the block may overlap row `k` and column `k` (the A/B/C roles).
+    ///
+    /// Return `true` if handled; the caller owns `rows × cols` under the
+    /// [`crate::shared`] wave discipline.
+    #[inline]
+    fn relax_block(
+        _grid: &SharedGrid<Self>,
+        _rows: Range<usize>,
+        _cols: Range<usize>,
+        _via: Range<usize>,
+    ) -> bool {
         false
     }
 }
@@ -128,6 +152,21 @@ impl SpecializedKernel for MinPlus {
         }
         true
     }
+
+    #[inline]
+    fn mm_block(c: &mut MatMut<'_, Self>, a: &MatRef<'_, Self>, b: &MatRef<'_, Self>) -> bool {
+        crate::simd::minplus_mm(c, a, b)
+    }
+
+    #[inline]
+    fn relax_block(
+        grid: &SharedGrid<Self>,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        via: Range<usize>,
+    ) -> bool {
+        crate::simd::minplus_fw_block(grid, rows, cols, via)
+    }
 }
 
 impl SpecializedKernel for MaxPlus {
@@ -180,6 +219,21 @@ impl SpecializedKernel for BoolSemiring {
     fn relax_row_aliased(_dst: &mut [BoolSemiring], _w: BoolSemiring) -> bool {
         // d ∨ (w ∧ d) = d for every w: the aliased row is always a no-op.
         true
+    }
+
+    #[inline]
+    fn mm_block(c: &mut MatMut<'_, Self>, a: &MatRef<'_, Self>, b: &MatRef<'_, Self>) -> bool {
+        crate::simd::bool_mm(c, a, b)
+    }
+
+    #[inline]
+    fn relax_block(
+        grid: &SharedGrid<Self>,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        via: Range<usize>,
+    ) -> bool {
+        crate::simd::bool_fw_block(grid, rows, cols, via)
     }
 }
 

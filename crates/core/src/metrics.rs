@@ -34,9 +34,10 @@ use std::time::{Duration, Instant};
 pub mod sched {
     //! Scheduling counters.
     //!
-    //! The PACO runtime executes a `Plan` as one worker-pool barrier per wave,
-    //! and every `WorkerPool::scope` is exactly one barrier
-    //! (one full spawn/join round-trip).  These counters make the barrier
+    //! The PACO runtime executes a `Plan` as one worker-pool barrier per wave:
+    //! a multi-wave plan runs in one `WorkerPool::scope` whose processors
+    //! meet at an in-scope barrier between waves, and a single-wave plan is
+    //! one scope (one full spawn/join round-trip).  These counters make the barrier
     //! behaviour *measurable* — on a 1-core container wall-clock cannot show
     //! whether a wave-flattened schedule really issues fewer barriers than the
     //! per-fork recursion it replaced, but the counters can, and the benchmark
@@ -65,7 +66,9 @@ pub mod sched {
     /// A point-in-time copy of every scheduling counter.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct SchedSnapshot {
-        /// Worker-pool scopes opened (each is one full spawn/join barrier).
+        /// Worker-pool barriers: scopes opened, plus the in-scope barriers
+        /// between the waves of a multi-wave plan (so a plan counts one
+        /// per wave either way).
         pub pool_barriers: u64,
         /// Plans executed end-to-end.
         pub plan_executions: u64,
@@ -87,8 +90,9 @@ pub mod sched {
         }
     }
 
-    /// Record one worker-pool scope (called by `WorkerPool::scope` on the
-    /// thread opening the scope).
+    /// Record one worker-pool barrier (called by `WorkerPool::scope` on the
+    /// thread opening the scope, and by the plan executor for each later
+    /// wave of a plan it runs in one scope).
     #[inline]
     pub fn record_pool_barrier() {
         POOL_BARRIERS.with(|c| c.set(c.get() + 1));

@@ -221,7 +221,17 @@ impl Ring for WrappingRing {
 /// relaxation steps; it exercises the semiring-generic code paths of
 /// `paco-matmul` with a non-invertible addition.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
+#[repr(transparent)]
 pub struct MinPlus(pub f64);
+
+// `repr(transparent)` lets the SIMD leaves read `MinPlus` rows as `f64`
+// lanes and boolean rows as bytes; these asserts pin the layouts they cast.
+const _: () = assert!(
+    std::mem::size_of::<MinPlus>() == std::mem::size_of::<f64>()
+        && std::mem::align_of::<MinPlus>() == std::mem::align_of::<f64>()
+);
+const _: () =
+    assert!(std::mem::size_of::<BoolSemiring>() == 1 && std::mem::align_of::<BoolSemiring>() == 1);
 
 impl Semiring for MinPlus {
     #[inline]
@@ -277,6 +287,7 @@ impl Semiring for MaxPlus {
 
 /// The boolean semiring (∨, ∧): matrix multiplication computes reachability.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
+#[repr(transparent)]
 pub struct BoolSemiring(pub bool);
 
 impl Semiring for BoolSemiring {

@@ -1,4 +1,6 @@
-//! Runtime-dispatched `f64` microkernels for the matrix-multiply leaves.
+//! Runtime-dispatched leaf microkernels: the `f64` matrix-multiply leaf,
+//! and the `MinPlus`/`BoolSemiring` closure leaves ([`minplus_mm`] and its
+//! three siblings, in `simd/semiring.rs`).
 //!
 //! The generic `mm_base` loop calls [`Semiring::mul_add`] per element, which
 //! for `f64` is `f64::mul_add` — and *outside* an FMA-enabled function that
@@ -12,7 +14,11 @@
 //!   - `"avx512f"` — an 8×16 register tile (sixteen `__m512d` accumulators)
 //!     over the `⌊m/8⌋·8 × ⌊n/16⌋·16` interior of the window; the right
 //!     strip and bottom band go to the AVX2 kernel on sub-windows.  Taken
-//!     when `is_x86_feature_detected!` confirms avx512f, avx2 and fma.
+//!     when `is_x86_feature_detected!` confirms avx512f, avx512bw,
+//!     avx512vl, avx2 and fma — probed once here, never per call.  This
+//!     mode also turns on the semiring leaves ([`minplus_mm`],
+//!     [`minplus_fw_block`], [`bool_mm`], [`bool_fw_block`]); the other two
+//!     modes leave those to the row loops of [`crate::kernel`].
 //!   - `"avx2+fma"` — a 4×8 register tile (eight `__m256d` accumulators)
 //!     with scalar FMA edges.  Taken when avx2 and fma are present but
 //!     avx512f is not.
@@ -31,11 +37,14 @@
 use crate::matrix::{MatMut, MatRef};
 use std::sync::OnceLock;
 
+mod semiring;
+pub use semiring::{bool_fw_block, bool_mm, minplus_fw_block, minplus_mm};
+
 /// Which microkernel [`mm_f64`] resolved to for this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// AVX-512F 8×16 interior tile with AVX2 edges (x86-64 with avx512f,
-    /// avx2 and fma).
+    /// AVX-512F 8×16 interior tile with AVX2 edges, plus the semiring
+    /// leaves (x86-64 with avx512f, avx512bw, avx512vl, avx2 and fma).
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     Avx512,
     /// AVX2 + FMA register-blocked kernel (x86-64 with both features).
@@ -58,11 +67,14 @@ fn detect() -> Mode {
         return Mode::Portable;
     }
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return Mode::Avx512;
+    {
+        use std::arch::is_x86_feature_detected as has;
+        if has!("avx2") && has!("fma") {
+            if has!("avx512f") && has!("avx512bw") && has!("avx512vl") {
+                return Mode::Avx512;
+            }
+            return Mode::Avx2Fma;
         }
-        return Mode::Avx2Fma;
     }
     Mode::Portable
 }
@@ -92,7 +104,8 @@ pub fn mm_f64(c: &mut MatMut<'_, f64>, a: &MatRef<'_, f64>, b: &MatRef<'_, f64>)
         Mode::Avx512 => {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Avx512` is only ever selected by `detect` after
-            // `is_x86_feature_detected!` confirmed avx512f, avx2 and fma.
+            // `is_x86_feature_detected!` confirmed avx512f, avx2 and fma
+            // (and avx512bw/vl).
             unsafe {
                 mm_f64_avx512(c, a, b);
             }

@@ -25,7 +25,7 @@
 
 use paco_cache_sim::layout::{AddressSpace, Layout2D};
 use paco_cache_sim::Tracker;
-use paco_core::matrix::Matrix;
+use paco_core::matrix::{MatMut, MatRef, Matrix};
 use paco_core::metrics::sched::kernel as kernel_metrics;
 use paco_core::semiring::{IdempotentSemiring, Semiring};
 use paco_core::shared::SharedGrid;
@@ -77,7 +77,7 @@ impl<S: Semiring> FwTable<S> {
         );
         let n = adj.rows();
         Self {
-            grid: SharedGrid::from_fn(n, n, |i, j| adj.get(i, j)),
+            grid: SharedGrid::from_vec(n, n, adj.data().to_vec()),
             n,
         }
     }
@@ -97,6 +97,12 @@ impl<S: Semiring> FwTable<S> {
     /// running.
     pub fn to_matrix(&self) -> Matrix<S> {
         Matrix::from_vec(self.n, self.n, self.grid.snapshot())
+    }
+
+    /// Consume the table into an owning matrix over the same allocation:
+    /// no copy, so no pass over cells another core wrote last.
+    pub fn into_matrix(self) -> Matrix<S> {
+        Matrix::from_vec(self.n, self.n, self.grid.into_vec())
     }
 }
 
@@ -122,6 +128,11 @@ pub fn fw_reference<S: IdempotentSemiring>(adj: &Matrix<S>) -> Matrix<S> {
     d
 }
 
+/// Whether two index ranges share an index.
+fn overlaps(x: &Range<usize>, y: &Range<usize>) -> bool {
+    x.start < y.end && y.start < x.end
+}
+
 /// The generalized base kernel: relax every cell of the block `rows × cols`
 /// through every via-vertex `k ∈ via`, `k` outermost:
 ///
@@ -143,13 +154,55 @@ pub fn relax<S: IdempotentSemiring, T: Tracker + ?Sized>(
 ) {
     let grid = table.grid();
     // Fast path: when nothing observes the per-element accesses
-    // (`T::TRACKING` is false, i.e. the production `NullTracker`), relax whole
-    // rows through the semiring's `SpecializedKernel` hooks.  Same `k`-then-
-    // `i`-then-`j` order and the same hoisted `d_ik`, so results are
+    // (`T::TRACKING` is false, i.e. the production `NullTracker`), hand the
+    // whole block to the semiring's `SpecializedKernel` hooks.  A block
+    // whose rows and columns both miss `via` (the D role) is a semiring
+    // product of three disjoint windows and goes to `mm_block`; any other
+    // block goes to the in-place `relax_block`.  A declined hook falls back
+    // to whole rows through the row hooks.  Every path keeps each cell's
+    // ascending-`k` order and the hoisted `d_ik`, so results are
     // bit-identical to the generic loop below (`tests/kernel_agreement.rs`
     // runs both and compares).  The `i == k` row aliases source and
     // destination and gets the dedicated aliased hook.
     if !T::TRACKING && !cols.is_empty() {
+        let disjoint =
+            !rows.is_empty() && !via.is_empty() && !overlaps(&rows, &via) && !overlaps(&cols, &via);
+        let handled = if disjoint {
+            let n = table.n();
+            // SAFETY: the three windows are in bounds and pairwise disjoint
+            // (`rows` and `cols` both miss `via`); the wave discipline gives
+            // this task exclusive access to `rows × cols`, and the `via`
+            // blocks are only read while it runs.
+            let (mut c, a, b) = unsafe {
+                (
+                    MatMut::from_raw_parts(
+                        grid.cell_ptr(rows.start, cols.start),
+                        rows.len(),
+                        cols.len(),
+                        n,
+                    ),
+                    MatRef::from_raw_parts(
+                        grid.cell_ptr(rows.start, via.start).cast_const(),
+                        rows.len(),
+                        via.len(),
+                        n,
+                    ),
+                    MatRef::from_raw_parts(
+                        grid.cell_ptr(via.start, cols.start).cast_const(),
+                        via.len(),
+                        cols.len(),
+                        n,
+                    ),
+                )
+            };
+            S::mm_block(&mut c, &a, &b)
+        } else {
+            S::relax_block(grid, rows.clone(), cols.clone(), via.clone())
+        };
+        if handled {
+            kernel_metrics::record_fw_leaf(S::SPECIALIZED);
+            return;
+        }
         let len = cols.len();
         for k in via {
             for i in rows.clone() {

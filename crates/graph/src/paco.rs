@@ -121,7 +121,7 @@ impl<S: IdempotentSemiring> FwRun<S> {
 
     /// Read the closed matrix off the completed table.
     pub fn finish(self) -> Matrix<S> {
-        self.table.to_matrix()
+        self.table.into_matrix()
     }
 }
 

@@ -21,7 +21,7 @@ pub fn fw_po<S: IdempotentSemiring>(adj: &Matrix<S>, base: usize) -> Matrix<S> {
     let table = FwTable::from_matrix(adj);
     let addr = FwAddr::new(table.n());
     a_po(&table, 0..table.n(), base, &addr);
-    table.to_matrix()
+    table.into_matrix()
 }
 
 fn a_po<S: IdempotentSemiring>(table: &FwTable<S>, r: Range<usize>, base: usize, addr: &FwAddr) {

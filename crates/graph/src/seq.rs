@@ -262,7 +262,7 @@ pub fn fw_seq<S: IdempotentSemiring>(adj: &Matrix<S>, base: usize) -> Matrix<S> 
     let table = FwTable::from_matrix(adj);
     let addr = FwAddr::new(table.n());
     a_co(&table, 0..table.n(), base, &mut NullTracker, &addr);
-    table.to_matrix()
+    table.into_matrix()
 }
 
 /// Sequential cache-oblivious Floyd–Warshall replayed through the ideal cache

@@ -9,7 +9,8 @@
 //! partitioning that does not adapt to `p` or to the recursive cache structure.
 //! The substitution is recorded in DESIGN.md.
 
-use paco_core::matrix::Matrix;
+use paco_core::matrix::{MatMut, Matrix};
+use paco_core::simd::mm_f64;
 use rayon::prelude::*;
 
 /// Tile sizes of the baseline kernel (row panel × column panel × depth panel).
@@ -30,30 +31,30 @@ pub fn blocked_parallel_mm(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
         return c;
     }
 
-    let a_data = a.data();
-    let b_data = b.data();
+    let (a, b) = (a.as_ref(), b.as_ref());
     // Parallelise over disjoint row panels of C; each worker owns its panel.
+    // Every i/k/j block goes through the dispatched `f64` leaf, which keeps
+    // each element's ascending-`l` fused multiply-add chain: the product is
+    // bit-identical to the scalar `mul_add` loop it replaces (which, outside
+    // an FMA-enabled function, was a libm call per element).
     c.data_mut()
         .par_chunks_mut(TILE_I * m)
         .enumerate()
         .for_each(|(panel_idx, c_panel)| {
             let i0 = panel_idx * TILE_I;
-            let i1 = (i0 + TILE_I).min(n);
+            let rows = c_panel.len() / m;
+            // SAFETY: `c_panel` is this worker's exclusive `rows × m`
+            // row-major chunk of C.
+            let mut panel = unsafe { MatMut::from_raw_parts(c_panel.as_mut_ptr(), rows, m, m) };
             for k0 in (0..k).step_by(TILE_K) {
-                let k1 = (k0 + TILE_K).min(k);
+                let depth = TILE_K.min(k - k0);
                 for j0 in (0..m).step_by(TILE_J) {
-                    let j1 = (j0 + TILE_J).min(m);
-                    for i in i0..i1 {
-                        let c_row = &mut c_panel[(i - i0) * m..(i - i0) * m + m];
-                        let a_row = &a_data[i * k..(i + 1) * k];
-                        for l in k0..k1 {
-                            let ail = a_row[l];
-                            let b_row = &b_data[l * m..(l + 1) * m];
-                            for j in j0..j1 {
-                                c_row[j] = ail.mul_add(b_row[j], c_row[j]);
-                            }
-                        }
-                    }
+                    let width = TILE_J.min(m - j0);
+                    mm_f64(
+                        &mut panel.rb().submatrix_mut(0, j0, rows, width),
+                        &a.submatrix(i0, k0, rows, depth),
+                        &b.submatrix(k0, j0, depth, width),
+                    );
                 }
             }
         });
@@ -79,6 +80,21 @@ mod tests {
             let expect = mm_reference(&a, &b);
             let got = blocked_parallel_mm(&a, &b);
             assert!(expect.approx_eq(&got, 1e-9), "n={n} m={m} k={k}");
+            // Bit for bit against the scalar fused loop in the same order.
+            let mut scalar = Matrix::zeros(n, m);
+            for i in 0..n {
+                for l in 0..k {
+                    for j in 0..m {
+                        let acc = scalar.get(i, j);
+                        scalar.set(i, j, a.get(i, l).mul_add(b.get(l, j), acc));
+                    }
+                }
+            }
+            let bits = |x: &Matrix<f64>| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(&got) == bits(&scalar),
+                "n={n} m={m} k={k}: not bit-identical"
+            );
         }
     }
 

@@ -19,9 +19,9 @@
 //!    loads, bounded imbalance) the proofs rest on.
 //! 3. **Scheduling** — the wave-based [`schedule::Plan`] IR every PACO
 //!    front-end compiles its partitioning into: ordered waves of
-//!    processor-placed steps, executed with exactly one pool barrier per wave,
-//!    with [`schedule::Plan::concat`]/[`schedule::Plan::batch`] to run many
-//!    problem instances through one pool pass.
+//!    processor-placed steps, executed in one pool scope with exactly one
+//!    barrier per wave, with [`schedule::Plan::concat`]/[`schedule::Plan::batch`]
+//!    to run many problem instances through one pool pass.
 //! 4. **Heterogeneity** — a throughput-proportional variant of the traversal
 //!    and a way to *emulate* a machine with faster and slower cores on
 //!    homogeneous hardware ([`hetero`]).

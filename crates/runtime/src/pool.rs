@@ -16,6 +16,11 @@
 //!   `std::thread::scope`, but without spawning threads per call.
 //! * Panics inside tasks are captured and re-thrown from the scope on the
 //!   caller's thread after all tasks have finished.
+//! * A crate-private spin-then-park barrier (`SpinBarrier`) lets the tasks
+//!   of one scope meet without returning to the caller: the plan executor
+//!   ([`Plan::execute`](crate::schedule::Plan::execute)) runs a whole
+//!   multi-wave plan in one scope, with one task per processor crossing
+//!   the barrier between waves, instead of one scope hand-off per wave.
 //!
 //! The pool makes no attempt at work stealing — that is the whole point: the
 //! PACO partitioning (not a scheduler) is responsible for balance, and the
@@ -25,8 +30,10 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use paco_core::proc_list::ProcId;
 
@@ -256,6 +263,78 @@ pub fn fork2<F1, F2>(
                 s.spawn_on(p2.first(), move || f2(Some(p2.first())));
                 f1(Some(c));
             });
+        }
+    }
+}
+
+/// A reusable barrier for a fixed number of parties that spins briefly and
+/// then parks.
+///
+/// Between two waves of a plan a processor usually waits for a few
+/// microseconds of imbalance; parking and waking a thread costs tens of
+/// microseconds on a shared virtual machine.  So a waiter first spins for
+/// at most [`SpinBarrier::SPIN`] and only then blocks on a condition
+/// variable.  The spin is a constant bound, not a tuning knob: past it the
+/// barrier behaves like any blocking barrier, which is also what keeps
+/// more parties than cores (p = 8 on two vCPUs) from burning the cores the
+/// late party needs.
+///
+/// Crossing the barrier orders memory like a mutex hand-off: every write a
+/// party made before [`wait`](SpinBarrier::wait) is visible to every party
+/// after it returns.
+pub(crate) struct SpinBarrier {
+    parties: usize,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl SpinBarrier {
+    /// Longest a waiter spins before it parks.
+    pub(crate) const SPIN: Duration = Duration::from_micros(50);
+
+    /// A barrier for `parties >= 1` threads.
+    pub(crate) fn new(parties: usize) -> Self {
+        assert!(parties >= 1, "a barrier needs at least one party");
+        Self {
+            parties,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Block until all `parties` threads have called `wait` for this
+    /// round; the barrier is then ready for the next round.
+    pub(crate) fn wait(&self) {
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            // Last to arrive: reset for the next round, then release the
+            // round.  No party can arrive again before it sees the new
+            // generation, and that store publishes the reset.
+            self.arrived.store(0, Ordering::Relaxed);
+            let _guard = self.lock.lock();
+            self.generation
+                .store(generation.wrapping_add(1), Ordering::Release);
+            self.wake.notify_all();
+            return;
+        }
+        let start = Instant::now();
+        let mut spins = 0u32;
+        while self.generation.load(Ordering::Acquire) == generation {
+            spins = spins.wrapping_add(1);
+            if spins.is_multiple_of(64) && start.elapsed() > Self::SPIN {
+                // The releaser bumps the generation under the lock, so a
+                // check under the lock cannot miss its notification.
+                let mut guard = self.lock.lock();
+                while self.generation.load(Ordering::Acquire) == generation {
+                    self.wake.wait(&mut guard);
+                }
+                return;
+            }
+            std::hint::spin_loop();
         }
     }
 }
@@ -625,6 +704,47 @@ mod tests {
         // Claiming to run on p2's leader while passing it as the *second* list
         // violates the discipline and must be rejected loudly.
         fork2(&pool, Some(p2.first()), p1, |_| {}, p2, |_| {});
+    }
+
+    #[test]
+    fn spin_barrier_orders_rounds_across_parties() {
+        // Three parties, 200 rounds: in round r every party first checks
+        // that all three wrote round r − 1, then writes round r.  A party
+        // running ahead of the barrier would see a stale slot.
+        const ROUNDS: usize = 200;
+        let pool = WorkerPool::new(3);
+        let barrier = SpinBarrier::new(3);
+        let slots: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+        pool.run_on_all(|proc| {
+            for round in 1..=ROUNDS {
+                for slot in &slots {
+                    assert_eq!(slot.load(Ordering::Relaxed), round - 1);
+                }
+                barrier.wait();
+                slots[proc].store(round, Ordering::Relaxed);
+                barrier.wait();
+            }
+        });
+        assert!(slots.iter().all(|s| s.load(Ordering::Relaxed) == ROUNDS));
+    }
+
+    #[test]
+    fn spin_barrier_parks_past_the_spin_bound() {
+        // One party arrives long after the spin bound: the other must park
+        // and still be woken.
+        let pool = WorkerPool::new(2);
+        let barrier = SpinBarrier::new(2);
+        let after = AtomicUsize::new(0);
+        pool.run_on_all(|proc| {
+            if proc == 1 {
+                std::thread::sleep(SpinBarrier::SPIN * 20);
+            }
+            barrier.wait();
+            after.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(after.load(Ordering::SeqCst), 2);
+        // A single party never waits.
+        SpinBarrier::new(1).wait();
     }
 
     #[test]

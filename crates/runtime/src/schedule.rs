@@ -10,10 +10,12 @@
 //!
 //! * a **[`Plan`]** is an ordered list of **waves**; a wave is a list of
 //!   **[`Step`]s**, each placing one workload-defined job on one processor;
-//! * the executor ([`Plan::execute`]) opens **exactly one** [`WorkerPool`]
-//!   scope (one spawn/join barrier) per wave;
-//! * within a wave, steps on the *same* processor run in plan order (the
-//!   pool's per-worker FIFO), steps on different processors run concurrently.
+//! * the executor ([`Plan::execute`]) runs the whole plan in **one**
+//!   [`WorkerPool`] scope: one task per processor walks the waves, and the
+//!   processors meet at a spin-then-park barrier between waves — one
+//!   barrier per wave, and no hand-off through the calling thread;
+//! * within a wave, steps on the *same* processor run in plan order,
+//!   steps on different processors run concurrently.
 //!
 //! Jobs are plain data (ranges, block descriptors, …), not boxed closures: the
 //! workload's runner closure interprets them against its own tables with
@@ -55,9 +57,13 @@
 //! individually (a ROADMAP "scale" item).
 
 use crate::bfs::{Assignment, DcNode};
-use crate::pool::WorkerPool;
+use crate::pool::{SpinBarrier, WorkerPool};
 use paco_core::metrics::sched;
 use paco_core::proc_list::ProcId;
+use parking_lot::Mutex;
+use std::any::Any;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One placed task: run `job` on processor `proc`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -299,22 +305,37 @@ impl PlanProfile {
     }
 }
 
-impl<J: Send + Sync> Plan<J> {
-    /// Execute the plan on `pool`: one `pool.scope` barrier per wave; within a
-    /// wave, `run(proc, &job)` is spawned onto `proc` in plan order.
-    ///
-    /// Panics if the plan targets more processors than the pool has.
-    pub fn execute<F>(&self, pool: &WorkerPool, run: F)
-    where
-        F: Fn(ProcId, &J) + Sync,
-    {
+impl<J> Plan<J> {
+    fn check_pool(&self, pool: &WorkerPool) {
         assert!(
             self.p <= pool.p(),
             "plan targets {} processors but the pool has {}",
             self.p,
             pool.p()
         );
-        for wave in &self.waves {
+    }
+}
+
+impl<J: Send + Sync> Plan<J> {
+    /// Execute the plan on `pool`; `run(proc, &job)` runs on `proc`, steps
+    /// on one processor in plan order.
+    ///
+    /// A single-wave plan spawns its steps into one `pool.scope`.  A plan of
+    /// several waves also runs in **one** scope: each processor with steps
+    /// gets one task that walks the waves in order and meets the others at
+    /// a spin-then-park barrier between waves, so no wave pays a scope
+    /// hand-off through the calling thread.  If a step panics, the run is poisoned:
+    /// the remaining steps are skipped, every processor still crosses every
+    /// barrier, and the first payload is re-thrown here.  Either way the
+    /// calling thread counts one pool barrier per wave.
+    ///
+    /// Panics if the plan targets more processors than the pool has.
+    pub fn execute<F>(&self, pool: &WorkerPool, run: F)
+    where
+        F: Fn(ProcId, &J) + Sync,
+    {
+        self.check_pool(pool);
+        if let [wave] = self.waves.as_slice() {
             pool.scope(|s| {
                 for step in wave {
                     let run = &run;
@@ -323,6 +344,14 @@ impl<J: Send + Sync> Plan<J> {
                     s.spawn_on(proc, move || run(proc, job));
                 }
             });
+        } else {
+            let mut lanes: Vec<Vec<(usize, &J)>> = (0..self.p).map(|_| Vec::new()).collect();
+            for (w, wave) in self.waves.iter().enumerate() {
+                for step in wave {
+                    lanes[step.proc].push((w, &step.job));
+                }
+            }
+            run_waves(pool, self.waves.len(), lanes, &run);
         }
         sched::record_plan_execution(self.waves.len() as u64, self.steps() as u64);
     }
@@ -331,21 +360,16 @@ impl<J: Send + Sync> Plan<J> {
 impl<J: Send> Plan<J> {
     /// [`Plan::execute`], but consuming the plan and moving each job into its
     /// task — for jobs that carry owned resources (e.g. disjoint `MatMut`
-    /// windows) rather than plain descriptors.
+    /// windows) rather than plain descriptors.  Same scopes, barriers and
+    /// panic semantics.
     pub fn execute_owned<F>(self, pool: &WorkerPool, run: F)
     where
         F: Fn(ProcId, J) + Sync,
     {
-        assert!(
-            self.p <= pool.p(),
-            "plan targets {} processors but the pool has {}",
-            self.p,
-            pool.p()
-        );
-        let waves = self.waves.len() as u64;
-        let mut steps = 0u64;
-        for wave in self.waves {
-            steps += wave.len() as u64;
+        self.check_pool(pool);
+        let (waves, steps) = (self.waves.len(), self.steps());
+        if waves == 1 {
+            let wave = self.waves.into_iter().next().unwrap_or_default();
             pool.scope(|s| {
                 for step in wave {
                     let run = &run;
@@ -354,8 +378,70 @@ impl<J: Send> Plan<J> {
                     s.spawn_on(proc, move || run(proc, job));
                 }
             });
+        } else {
+            let mut lanes: Vec<Vec<(usize, J)>> = (0..self.p).map(|_| Vec::new()).collect();
+            for (w, wave) in self.waves.into_iter().enumerate() {
+                for step in wave {
+                    lanes[step.proc].push((w, step.job));
+                }
+            }
+            run_waves(pool, waves, lanes, &run);
         }
-        sched::record_plan_execution(waves, steps);
+        sched::record_plan_execution(waves as u64, steps as u64);
+    }
+}
+
+/// Run `waves` waves in one `pool.scope`: `lanes[q]` lists processor `q`'s
+/// steps as `(wave, job)` in plan order.  Each processor with steps walks
+/// the waves and crosses a [`SpinBarrier`] after every wave but the last
+/// (the scope's join is the last one).  A panicking step poisons the run:
+/// later steps are dropped unrun, the barriers are still crossed, and the
+/// first payload is re-thrown after the join.
+fn run_waves<T: Send, F: Fn(ProcId, T) + Sync>(
+    pool: &WorkerPool,
+    waves: usize,
+    lanes: Vec<Vec<(usize, T)>>,
+    run: &F,
+) {
+    if waves == 0 {
+        return;
+    }
+    let parties = lanes.iter().filter(|lane| !lane.is_empty()).count();
+    let barrier = SpinBarrier::new(parties);
+    let poisoned = AtomicBool::new(false);
+    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    pool.scope(|s| {
+        for (proc, lane) in lanes.into_iter().enumerate() {
+            if lane.is_empty() {
+                continue;
+            }
+            let (barrier, poisoned, first_panic) = (&barrier, &poisoned, &first_panic);
+            s.spawn_on(proc, move || {
+                let mut lane = lane.into_iter().peekable();
+                for w in 0..waves {
+                    while let Some((_, job)) = lane.next_if(|&(at, _)| at == w) {
+                        if poisoned.load(Ordering::Relaxed) {
+                            continue;
+                        }
+                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| run(proc, job)));
+                        if let Err(payload) = outcome {
+                            poisoned.store(true, Ordering::Relaxed);
+                            first_panic.lock().get_or_insert(payload);
+                        }
+                    }
+                    if w + 1 < waves {
+                        barrier.wait();
+                    }
+                }
+            });
+        }
+    });
+    // `scope` counted one barrier; the waves after the first count one each.
+    for _ in 1..waves {
+        sched::record_pool_barrier();
+    }
+    if let Some(payload) = first_panic.into_inner() {
+        std::panic::resume_unwind(payload);
     }
 }
 
@@ -692,6 +778,117 @@ mod tests {
         assert_eq!(delta.plan_steps, 3);
         // Each wave is exactly one pool barrier.
         assert!(delta.pool_barriers >= 2);
+    }
+
+    /// An irregular plan of `waves` waves over `p` processors: wave `w`
+    /// holds `1 + w % (p + 1)` steps, dealt round-robin from processor
+    /// `w % p`, so some waves leave processors idle and some stack two
+    /// steps on one.  Jobs are `(wave, index in wave)`.
+    fn ragged(p: usize, waves: usize) -> Plan<(usize, usize)> {
+        Plan::from_waves(
+            p,
+            (0..waves)
+                .map(|w| {
+                    (0..1 + w % (p + 1))
+                        .map(|i| Step {
+                            proc: (w + i) % p,
+                            job: (w, i),
+                        })
+                        .collect()
+                })
+                .collect(),
+        )
+    }
+
+    /// Run `f` on a fresh thread and fail if it neither returns nor
+    /// panics within `secs` seconds; returns whether it panicked.
+    fn under_watchdog(secs: u64, f: impl FnOnce() + Send + 'static) -> bool {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(f));
+            let _ = tx.send(outcome.is_err());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(secs))
+            .expect("plan execution hung")
+    }
+
+    #[test]
+    fn two_hundred_waves_keep_barrier_order_at_every_p() {
+        const WAVES: usize = 200;
+        for p in [1usize, 2, 3, 5, 8] {
+            let plan = ragged(p, WAVES);
+            let sizes: Vec<usize> = plan.waves().iter().map(Vec::len).collect();
+            let pool = WorkerPool::new(p);
+            let done: Vec<AtomicUsize> = (0..WAVES).map(|_| AtomicUsize::new(0)).collect();
+            let before = sched::snapshot();
+            plan.execute(&pool, |proc, &(w, i)| {
+                assert_eq!(proc, (w + i) % p, "step ran on the wrong processor");
+                if w > 0 {
+                    // Every step of the previous wave finished first.
+                    assert_eq!(done[w - 1].load(Ordering::SeqCst), sizes[w - 1]);
+                }
+                // No step of the next wave started yet.
+                if w + 1 < WAVES {
+                    assert_eq!(done[w + 1].load(Ordering::SeqCst), 0);
+                }
+                done[w].fetch_add(1, Ordering::SeqCst);
+            });
+            let delta = sched::snapshot().since(&before);
+            for (w, d) in done.iter().enumerate() {
+                assert_eq!(d.load(Ordering::SeqCst), sizes[w], "p = {p}, wave {w}");
+            }
+            assert_eq!(delta.plan_waves, WAVES as u64);
+            assert_eq!(delta.pool_barriers, WAVES as u64, "one barrier per wave");
+
+            // The owning entry point runs the same schedule.
+            let owned = AtomicUsize::new(0);
+            ragged(p, WAVES).execute_owned(&pool, |_, _| {
+                owned.fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(owned.load(Ordering::SeqCst), sizes.iter().sum::<usize>());
+        }
+    }
+
+    #[test]
+    fn a_panicking_step_rethrows_instead_of_hanging() {
+        // Wave 37 of 120 panics on one processor, through both entry
+        // points: the call must re-throw that payload, run nothing after
+        // the poisoned wave, and leave the pool usable.
+        for owned in [false, true] {
+            for p in [1usize, 2, 3, 8] {
+                let panicked = under_watchdog(60, move || {
+                    let pool = WorkerPool::new(p);
+                    let late = AtomicUsize::new(0);
+                    let step = |_: ProcId, (w, i): (usize, usize)| {
+                        if w == 37 && i == 0 {
+                            panic!("step in wave 37 fails");
+                        }
+                        if w > 37 {
+                            late.fetch_add(1, Ordering::SeqCst);
+                        }
+                    };
+                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        if owned {
+                            ragged(p, 120).execute_owned(&pool, step);
+                        } else {
+                            ragged(p, 120).execute(&pool, |q, &job| step(q, job));
+                        }
+                    }));
+                    let payload = outcome.expect_err("the step's panic must re-throw");
+                    assert_eq!(
+                        payload.downcast_ref::<&str>().copied(),
+                        Some("step in wave 37 fails")
+                    );
+                    assert_eq!(late.load(Ordering::SeqCst), 0, "ran past the poison");
+                    let after = AtomicUsize::new(0);
+                    ragged(p, 10).execute(&pool, |_, _| {
+                        after.fetch_add(1, Ordering::SeqCst);
+                    });
+                    assert!(after.load(Ordering::SeqCst) > 0, "pool unusable");
+                });
+                assert!(!panicked, "owned = {owned}, p = {p}");
+            }
+        }
     }
 
     #[test]

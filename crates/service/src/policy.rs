@@ -80,8 +80,9 @@ impl Priority {
 /// use paco_service::{BatchPolicy, Routing};
 /// use std::time::Duration;
 ///
-/// // Low-latency ingress: never dawdle, take what's there.
-/// let greedy = BatchPolicy { max_wait: Duration::ZERO, ..BatchPolicy::default() };
+/// // Low-latency ingress (the default): never dawdle, take what's there.
+/// let greedy = BatchPolicy::default();
+/// assert_eq!(greedy.max_wait, Duration::ZERO);
 ///
 /// // Throughput ingress: two bounded pools, windows tuned from the
 /// // arrival rate (up to 1ms), overload shed at 256 queued per shard.
@@ -132,15 +133,18 @@ pub struct BatchPolicy {
 }
 
 impl Default for BatchPolicy {
-    /// One shard, round-robin (trivially), batches of up to 64, a static
-    /// 200µs gathering window — enough for a burst of producers to coalesce
-    /// without a human-visible latency cost — and an **unbounded** queue
-    /// (the legacy pre-admission-control behaviour; set
-    /// [`capacity`](Self::capacity) for open-loop traffic).
+    /// One shard, round-robin (trivially), batches of up to 64, the greedy
+    /// window (`max_wait` zero: drain what is queued and run it; requests
+    /// that arrive while a pass runs still coalesce into the next one), and
+    /// an **unbounded** queue (the legacy pre-admission-control behaviour;
+    /// set [`capacity`](Self::capacity) for open-loop traffic).
+    ///
+    /// The window used to be a static 200 µs, which held an idle engine's
+    /// answer to a 12 µs closure at about 0.36 ms.
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_wait: Duration::from_micros(200),
+            max_wait: Duration::ZERO,
             adaptive: false,
             capacity: None,
             shards: 1,

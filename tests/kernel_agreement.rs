@@ -16,28 +16,39 @@
 //! * `mm_base` over [`WrappingRing`] — exact integer arithmetic, so the
 //!   row-sliced refactor of the generic loop is checked with no tolerance.
 //! * The Floyd–Warshall [`relax`] kernel over `MinPlus` and `BoolSemiring`:
-//!   the `NullTracker` run takes the specialized row fast path, the
+//!   the `NullTracker` run takes the dispatched block leaves (AVX-512 where
+//!   the process dispatched to it, the row hooks otherwise), the
 //!   `SimTracker` run (tracking enabled) takes the historical generic loop —
 //!   both in one process, compared cell by cell.
+//! * Whole closures the same way: the dispatched sequential recursion and
+//!   a multi-wave PACO plan on a pool, against the portable replay of the
+//!   same recursion or plan through a tracker that only turns the fast
+//!   paths off — bit for bit, for sizes and bases that put every mask
+//!   width in some leaf, on non-integer weights with unreachable rows,
+//!   negative edges and a negative cycle, and on `BoolSemiring`.
+//! * `mm_base` and `Session` `MatMul` over `MinPlus` and `BoolSemiring`
+//!   (the semiring `mm_block` leaves) against the generic loop.
 //! * The LCS [`base_block`] the same way: `NullTracker` runs the branch-free
 //!   sweep, `SimTracker` the generic one.
 //! * Arena reuse: warm same-shaped passes through one [`Session`] must
 //!   return identical outputs while `arena_stats` reports a strictly
 //!   positive reuse ratio.
 
-use paco_cache_sim::{NullTracker, SimTracker};
+use paco_cache_sim::{NullTracker, SimTracker, Tracker};
 use paco_core::machine::CacheParams;
 use paco_core::matrix::{MatMut, MatRef, Matrix};
-use paco_core::semiring::Semiring;
+use paco_core::semiring::{BoolSemiring, IdempotentSemiring, MinPlus, Semiring};
 use paco_core::simd::{mm_f64, mm_f64_portable, simd_mode};
 use paco_core::workload::{
     random_adjacency, random_digraph, random_keys, random_matrix_f64, random_matrix_wrapping,
     related_sequences,
 };
 use paco_dp::lcs::kernel::{base_block, lcs_reference, LcsAddr, LcsTable};
-use paco_graph::{fw_reference, relax, FwAddr, FwTable};
+use paco_graph::seq::a_co;
+use paco_graph::{fw_reference, fw_seq, relax, FwAddr, FwRun, FwTable};
 use paco_matmul::co_mm::co_mm_alloc;
 use paco_matmul::kernel::mm_base;
+use paco_runtime::WorkerPool;
 use paco_service::{Lcs, MatMul, Session, Sort};
 use proptest::prelude::*;
 
@@ -99,6 +110,163 @@ fn assert_f64_leaves_agree(
 
 fn sim_tracker() -> SimTracker {
     SimTracker::new(1, CacheParams::new(1 << 14, 8))
+}
+
+/// A tracker that records nothing but still reports `TRACKING`, so every
+/// leaf runs the portable per-element loop: the same recursion or plan as
+/// the dispatched run, with no fast path.
+struct Portable;
+impl Tracker for Portable {}
+
+fn minplus_bits(m: &Matrix<MinPlus>) -> Vec<u64> {
+    m.data().iter().map(|v| v.0.to_bits()).collect()
+}
+
+/// Weighted inputs for the closure agreement checks: non-integer weights,
+/// every fifth row without out-edges (all `+∞` but the diagonal), and
+/// either no negative edge, negative edges on forward pairs only, or one
+/// negative cycle `0 → 1 → 2 → 0` on top of the forward negatives.
+fn hard_digraphs(n: usize, seed: u64) -> Vec<(&'static str, Matrix<MinPlus>)> {
+    let r = random_matrix_f64(n, n, seed);
+    let weight = |i: usize, j: usize, negatives: bool| {
+        let x = r.get(i, j);
+        if i == j {
+            MinPlus(0.0)
+        } else if i % 5 == 3 || x > 0.3 {
+            MinPlus(f64::INFINITY)
+        } else if negatives && i < j && x < -0.85 {
+            MinPlus(x * 0.37 + 0.3)
+        } else {
+            MinPlus(x * 3.7 + 5.2)
+        }
+    };
+    let positive = Matrix::from_fn(n, n, |i, j| weight(i, j, false));
+    let negative = Matrix::from_fn(n, n, |i, j| weight(i, j, true));
+    let mut cycle = negative.clone();
+    if n >= 3 {
+        cycle.set(0, 1, MinPlus(-2.25));
+        cycle.set(1, 2, MinPlus(0.5));
+        cycle.set(2, 0, MinPlus(0.625));
+    }
+    vec![
+        ("positive", positive),
+        ("negative edges", negative),
+        ("negative cycle", cycle),
+    ]
+}
+
+/// Close `adj` with the sequential recursion twice in one process —
+/// dispatched leaves and the portable replay — and return both tables.
+fn seq_both<S: IdempotentSemiring>(adj: &Matrix<S>, base: usize) -> (Matrix<S>, Matrix<S>) {
+    let portable = FwTable::from_matrix(adj);
+    let addr = FwAddr::new(adj.rows());
+    a_co(&portable, 0..adj.rows(), base, &mut Portable, &addr);
+    (fw_seq(adj, base), portable.to_matrix())
+}
+
+/// The same with a `p`-processor PACO plan: executed on a pool (one scope,
+/// a barrier per wave), and replayed step by step through `Portable`.
+fn plan_both<S: IdempotentSemiring>(
+    adj: &Matrix<S>,
+    p: usize,
+    base: usize,
+    pool: &WorkerPool,
+) -> (Matrix<S>, Matrix<S>) {
+    let run = FwRun::prepare(adj, p, base);
+    run.plan().execute(pool, |proc, call| run.step(proc, call));
+    let portable = FwTable::from_matrix(adj);
+    let addr = FwAddr::new(adj.rows());
+    run.plan()
+        .for_each(|_, _, call| call.run(&portable, base, &mut Portable, &addr));
+    (run.finish(), portable.to_matrix())
+}
+
+/// Sizes and bases that put every `MinPlus` mask width (1–8 live lanes)
+/// and both boolean widths into some leaf.
+const FW_SIZES: [usize; 9] = [1, 7, 23, 24, 25, 33, 48, 100, 129];
+const FW_BASES: [usize; 4] = [8, 16, 24, 32];
+
+#[test]
+fn dispatched_closures_match_the_portable_replay_bit_for_bit() {
+    for n in FW_SIZES {
+        let graphs = hard_digraphs(n, 1000 + n as u64);
+        let edges = random_adjacency(n, 0.08, 2000 + n as u64);
+        for base in FW_BASES {
+            for (kind, adj) in &graphs {
+                let (fast, portable) = seq_both(adj, base);
+                assert!(
+                    minplus_bits(&fast) == minplus_bits(&portable),
+                    "MinPlus {kind}, n = {n}, base = {base}, mode {}",
+                    simd_mode()
+                );
+            }
+            let (fast, portable) = seq_both(&edges, base);
+            assert_eq!(fast, portable, "Bool n = {n}, base = {base}");
+        }
+    }
+}
+
+#[test]
+fn dispatched_plans_match_the_portable_replay_bit_for_bit() {
+    for p in [2usize, 3] {
+        let pool = WorkerPool::new(p);
+        for n in [25usize, 48, 100, 129] {
+            let graphs = hard_digraphs(n, 3000 + n as u64);
+            let edges = random_adjacency(n, 0.05, 4000 + n as u64);
+            for base in [8usize, 24] {
+                for (kind, adj) in &graphs {
+                    let (fast, portable) = plan_both(adj, p, base, &pool);
+                    assert!(
+                        minplus_bits(&fast) == minplus_bits(&portable),
+                        "MinPlus {kind}, n = {n}, p = {p}, base = {base}, mode {}",
+                        simd_mode()
+                    );
+                }
+                let (fast, portable) = plan_both(&edges, p, base, &pool);
+                assert_eq!(fast, portable, "Bool n = {n}, p = {p}, base = {base}");
+            }
+        }
+    }
+}
+
+/// `Session` `MatMul` over the closure semirings (the `mm_block` leaves
+/// under the MM-1-PIECE plan) against the generic `i-l-j` loop; `min` and
+/// `∨` are exact in any order, so this holds bit for bit at every `p`.
+#[test]
+fn semiring_matmul_matches_the_generic_loop_bit_for_bit() {
+    for &(n, k, m) in &[
+        (1usize, 1usize, 1usize),
+        (7, 9, 23),
+        (25, 33, 24),
+        (70, 41, 129),
+    ] {
+        let weights = &hard_digraphs(n.max(k).max(m), (n * k * m) as u64)[1].1;
+        let a = weights.as_ref().submatrix(0, 0, n, k).to_matrix();
+        let b = weights.as_ref().submatrix(0, 0, k, m).to_matrix();
+        let mut expect = Matrix::zeros(n, m);
+        mm_generic_reference(&mut expect, &a, &b);
+        let ba = Matrix::from_fn(n, k, |i, j| BoolSemiring(a.get(i, j).0 < 4.0));
+        let bb = Matrix::from_fn(k, m, |i, j| BoolSemiring(b.get(i, j).0 < 4.0));
+        let mut bool_expect = Matrix::zeros(n, m);
+        mm_generic_reference(&mut bool_expect, &ba, &bb);
+        for p in [1usize, 3] {
+            let session = Session::new(p);
+            let got = session.run(MatMul {
+                a: a.clone(),
+                b: b.clone(),
+            });
+            assert!(
+                minplus_bits(&got) == minplus_bits(&expect),
+                "MinPlus {n}x{k}x{m}, p = {p}, mode {}",
+                simd_mode()
+            );
+            let got = session.run(MatMul {
+                a: ba.clone(),
+                b: bb.clone(),
+            });
+            assert_eq!(got, bool_expect, "Bool {n}x{k}x{m}, p = {p}");
+        }
+    }
 }
 
 proptest! {
@@ -212,6 +380,38 @@ proptest! {
         relax(&generic, 0..n, 0..n, 0..n, &mut sim_tracker(), &addr);
         prop_assert_eq!(fast.to_matrix(), generic.to_matrix());
         prop_assert_eq!(fast.to_matrix(), fw_reference(&adj));
+    }
+
+    /// `mm_base` over `MinPlus` and `BoolSemiring` windows of larger
+    /// matrices (the semiring `mm_block` leaves, tile edges and masked
+    /// tails included) against the per-element generic loop.
+    #[test]
+    fn semiring_mm_base_windows_match_the_generic_loop(
+        n in 1usize..40,
+        m in 1usize..70,
+        k in 0usize..40,
+        seed in 0u64..1000,
+    ) {
+        let big = &hard_digraphs(80, seed)[2].1;
+        let a = big.as_ref().submatrix(3, 5, n, k);
+        let b = big.as_ref().submatrix(7, 2, k, m);
+        let mut expect = big.clone();
+        let mut window = big.as_ref().submatrix(1, 9, n, m).to_matrix();
+        mm_generic_reference(&mut window, &a.to_matrix(), &b.to_matrix());
+        expect.as_mut().submatrix_mut(1, 9, n, m).copy_from(&window.as_ref());
+        let mut got = big.clone();
+        mm_base(&mut got.as_mut().submatrix_mut(1, 9, n, m), &a, &b);
+        prop_assert!(minplus_bits(&got) == minplus_bits(&expect), "mode {}", simd_mode());
+
+        let bools = Matrix::from_fn(80, 80, |i, j| BoolSemiring(big.get(i, j).0 < 4.0));
+        let (a, b) = (bools.as_ref().submatrix(3, 5, n, k), bools.as_ref().submatrix(7, 2, k, m));
+        let mut expect = bools.clone();
+        let mut window = bools.as_ref().submatrix(1, 9, n, m).to_matrix();
+        mm_generic_reference(&mut window, &a.to_matrix(), &b.to_matrix());
+        expect.as_mut().submatrix_mut(1, 9, n, m).copy_from(&window.as_ref());
+        let mut got = bools.clone();
+        mm_base(&mut got.as_mut().submatrix_mut(1, 9, n, m), &a, &b);
+        prop_assert_eq!(got, expect);
     }
 
     /// The branch-free LCS base block (NullTracker) fills the table exactly
