@@ -44,7 +44,9 @@ fn bench_mm(c: &mut Criterion) {
     group.finish();
 
     // Kernel-dispatch gauges: how many leaf multiplications of one PACO run
-    // took the runtime-selected `f64` microkernel vs. the generic loop, and
+    // took a runtime-selected microkernel vs. the generic loop (this run is
+    // `f64`; for semiring MM the simd count also covers the `MinPlus` and
+    // `BoolSemiring` tiles), and
     // whether this process dispatched to a vector microkernel (1 = avx512f
     // or avx2+fma, 0 = portable).  One tick per leaf call, so the counts
     // also show the leaf granularity.

@@ -121,9 +121,12 @@ mod tests {
     #[test]
     fn sweep_runs_on_a_tiny_grid() {
         let grid = [(64usize, 64usize, 64usize)];
+        // A 64³ product through the vector leaf takes tens of µs, so one
+        // preempted timing would dominate a single sample: take the best
+        // of 5 per side.
         let series = run_mm_sweep(
             &grid,
-            1,
+            5,
             "baseline",
             "baseline",
             blocked_parallel_mm,

@@ -35,9 +35,9 @@ pub mod sched {
     //! Scheduling counters.
     //!
     //! The PACO runtime executes a `Plan` as one worker-pool barrier per wave:
-    //! a multi-wave plan runs in one `WorkerPool::scope` whose processors
-    //! meet at an in-scope barrier between waves, and a single-wave plan is
-    //! one scope (one full spawn/join round-trip).  These counters make the barrier
+    //! every plan runs in one `WorkerPool::scope` (one spawn/join
+    //! round-trip) whose processors meet at an in-scope barrier between
+    //! waves.  These counters make the barrier
     //! behaviour *measurable* — on a 1-core container wall-clock cannot show
     //! whether a wave-flattened schedule really issues fewer barriers than the
     //! per-fork recursion it replaced, but the counters can, and the benchmark
@@ -140,7 +140,9 @@ pub mod sched {
         /// A point-in-time copy of the leaf-dispatch counters.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
         pub struct KernelSnapshot {
-            /// MM leaf calls handled by the specialized (SIMD) microkernel.
+            /// MM leaf calls handled by a specialized (SIMD) microkernel: the
+            /// `f64` tile and, in the `avx512f` mode, the `MinPlus` and
+            /// `BoolSemiring` semiring tiles.
             pub mm_leaf_simd: u64,
             /// MM leaf calls that ran the generic semiring loop.
             pub mm_leaf_generic: u64,
@@ -168,7 +170,8 @@ pub mod sched {
             }
         }
 
-        /// Record one MM leaf call (`simd`: handled by the microkernel).
+        /// Record one MM leaf call (`simd`: handled by a microkernel, `f64`
+        /// or semiring).
         #[inline]
         pub fn record_mm_leaf(simd: bool) {
             if simd {

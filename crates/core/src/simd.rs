@@ -14,11 +14,13 @@
 //!   - `"avx512f"` — an 8×16 register tile (sixteen `__m512d` accumulators)
 //!     over the `⌊m/8⌋·8 × ⌊n/16⌋·16` interior of the window; the right
 //!     strip and bottom band go to the AVX2 kernel on sub-windows.  Taken
-//!     when `is_x86_feature_detected!` confirms avx512f, avx512bw,
-//!     avx512vl, avx2 and fma — probed once here, never per call.  This
-//!     mode also turns on the semiring leaves ([`minplus_mm`],
-//!     [`minplus_fw_block`], [`bool_mm`], [`bool_fw_block`]); the other two
-//!     modes leave those to the row loops of [`crate::kernel`].
+//!     when `is_x86_feature_detected!` confirms avx512f, avx2 and fma —
+//!     probed once here, never per call.  This mode also turns on the
+//!     `MinPlus` semiring leaves ([`minplus_mm`], [`minplus_fw_block`]),
+//!     and the `BoolSemiring` ones ([`bool_mm`], [`bool_fw_block`]) when
+//!     avx512bw is present too (their byte lanes need it; probed in the
+//!     same once-per-process `detect`).  The other two modes leave those
+//!     to the row loops of [`crate::kernel`].
 //!   - `"avx2+fma"` — a 4×8 register tile (eight `__m256d` accumulators)
 //!     with scalar FMA edges.  Taken when avx2 and fma are present but
 //!     avx512f is not.
@@ -44,7 +46,8 @@ pub use semiring::{bool_fw_block, bool_mm, minplus_fw_block, minplus_mm};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// AVX-512F 8×16 interior tile with AVX2 edges, plus the semiring
-    /// leaves (x86-64 with avx512f, avx512bw, avx512vl, avx2 and fma).
+    /// leaves (x86-64 with avx512f, avx2 and fma; the `BoolSemiring`
+    /// leaves also need avx512bw, see [`Dispatch`]).
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     Avx512,
     /// AVX2 + FMA register-blocked kernel (x86-64 with both features).
@@ -54,29 +57,66 @@ enum Mode {
     Portable,
 }
 
-fn mode() -> Mode {
-    static MODE: OnceLock<Mode> = OnceLock::new();
-    *MODE.get_or_init(detect)
+/// What [`detect`] found, once per process.
+#[derive(Debug, Clone, Copy)]
+struct Dispatch {
+    mode: Mode,
+    /// Whether the `BoolSemiring` leaves run: [`Mode::Avx512`] and
+    /// avx512bw (their byte compares and masked byte moves).
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    bool_leaves: bool,
 }
 
-fn detect() -> Mode {
+fn dispatch() -> Dispatch {
+    static DISPATCH: OnceLock<Dispatch> = OnceLock::new();
+    *DISPATCH.get_or_init(detect)
+}
+
+fn mode() -> Mode {
+    dispatch().mode
+}
+
+#[cfg(target_arch = "x86_64")]
+fn bool_leaves() -> bool {
+    dispatch().bool_leaves
+}
+
+fn detect() -> Dispatch {
+    let portable = Dispatch {
+        mode: Mode::Portable,
+        bool_leaves: false,
+    };
     if std::env::var(crate::tuning::SIMD_ENV_VAR)
         .map(|v| v.trim().eq_ignore_ascii_case("off"))
         .unwrap_or(false)
     {
-        return Mode::Portable;
+        return portable;
     }
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::is_x86_feature_detected as has;
         if has!("avx2") && has!("fma") {
-            if has!("avx512f") && has!("avx512bw") && has!("avx512vl") {
-                return Mode::Avx512;
+            if has!("avx512f") {
+                return Dispatch {
+                    mode: Mode::Avx512,
+                    bool_leaves: has!("avx512bw"),
+                };
             }
-            return Mode::Avx2Fma;
+            return Dispatch {
+                mode: Mode::Avx2Fma,
+                bool_leaves: false,
+            };
         }
     }
-    Mode::Portable
+    portable
+}
+
+/// Panics unless `C ⊕= A ⊗ B` is well shaped (`c`: `m×n`, `a`: `m×k`,
+/// `b`: `k×n`): the vector kernels index rows unchecked.
+fn assert_mm_shapes<T: Copy>(c: &MatMut<'_, T>, a: &MatRef<'_, T>, b: &MatRef<'_, T>) {
+    assert_eq!(c.rows(), a.rows(), "leaf mm: C and A row counts differ");
+    assert_eq!(c.cols(), b.cols(), "leaf mm: C and B column counts differ");
+    assert_eq!(a.cols(), b.rows(), "leaf mm: inner dimensions differ");
 }
 
 /// The microkernel this process dispatched to: `"avx512f"`, `"avx2+fma"`
@@ -96,16 +136,12 @@ pub fn simd_mode() -> &'static str {
 /// Bit-identical to the generic `Semiring::mul_add` triple loop in `i-l-j`
 /// order regardless of which path is taken.
 pub fn mm_f64(c: &mut MatMut<'_, f64>, a: &MatRef<'_, f64>, b: &MatRef<'_, f64>) {
-    // The vector kernels index rows unchecked: the shapes must agree.
-    assert_eq!(c.rows(), a.rows(), "mm_f64: C and A row counts differ");
-    assert_eq!(c.cols(), b.cols(), "mm_f64: C and B column counts differ");
-    assert_eq!(a.cols(), b.rows(), "mm_f64: inner dimensions differ");
+    assert_mm_shapes(c, a, b);
     match mode() {
         Mode::Avx512 => {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Avx512` is only ever selected by `detect` after
-            // `is_x86_feature_detected!` confirmed avx512f, avx2 and fma
-            // (and avx512bw/vl).
+            // `is_x86_feature_detected!` confirmed avx512f, avx2 and fma.
             unsafe {
                 mm_f64_avx512(c, a, b);
             }

@@ -23,12 +23,14 @@
 //!
 //! Each entry point returns `true` when a vector kernel ran.  It returns
 //! `false` when the process did not dispatch to `avx512f` (see
-//! [`super::simd_mode`], and `PACO_SIMD=off`) or when a block is wider than
+//! [`super::simd_mode`], and `PACO_SIMD=off`), for the `BoolSemiring`
+//! leaves when the CPU also lacks avx512bw, or when a block is wider than
 //! the register-held row allows.  The caller then runs its row loop, so
 //! tracked replays and the portable mode keep exactly today's code.
 
+use super::assert_mm_shapes;
 #[cfg(target_arch = "x86_64")]
-use super::{mode, Mode};
+use super::{bool_leaves, mode, Mode};
 use crate::matrix::{MatMut, MatRef};
 use crate::semiring::{BoolSemiring, MinPlus};
 use crate::shared::SharedGrid;
@@ -41,21 +43,6 @@ const MINPLUS_ROW_VECS: usize = 8;
 /// Widest `BoolSemiring` block, in `__m512i` vectors (128 columns).
 #[cfg(target_arch = "x86_64")]
 const BOOL_ROW_VECS: usize = 2;
-
-fn assert_shapes<T: Copy>(c: &MatMut<'_, T>, a: &MatRef<'_, T>, b: &MatRef<'_, T>) {
-    // The vector kernels index rows unchecked: the shapes must agree.
-    assert_eq!(
-        c.rows(),
-        a.rows(),
-        "semiring leaf: C and A row counts differ"
-    );
-    assert_eq!(
-        c.cols(),
-        b.cols(),
-        "semiring leaf: C and B column counts differ"
-    );
-    assert_eq!(a.cols(), b.rows(), "semiring leaf: inner dimensions differ");
-}
 
 fn assert_block<T: Copy>(
     grid: &SharedGrid<T>,
@@ -79,11 +66,11 @@ pub fn minplus_mm(
     a: &MatRef<'_, MinPlus>,
     b: &MatRef<'_, MinPlus>,
 ) -> bool {
-    assert_shapes(c, a, b);
+    assert_mm_shapes(c, a, b);
     #[cfg(target_arch = "x86_64")]
     if mode() == Mode::Avx512 {
         // SAFETY: `Avx512` is only selected by `detect` after
-        // `is_x86_feature_detected!` confirmed avx512f and avx512bw.
+        // `is_x86_feature_detected!` confirmed avx512f.
         unsafe { minplus_mm_avx512(c, a, b) };
         return true;
     }
@@ -91,16 +78,17 @@ pub fn minplus_mm(
 }
 
 /// `C = C ∨ (A ∧ B)` over `BoolSemiring` windows; same contract as
-/// [`minplus_mm`].
+/// [`minplus_mm`], except that the CPU must also have avx512bw.
 pub fn bool_mm(
     c: &mut MatMut<'_, BoolSemiring>,
     a: &MatRef<'_, BoolSemiring>,
     b: &MatRef<'_, BoolSemiring>,
 ) -> bool {
-    assert_shapes(c, a, b);
+    assert_mm_shapes(c, a, b);
     #[cfg(target_arch = "x86_64")]
-    if mode() == Mode::Avx512 {
-        // SAFETY: as in `minplus_mm`.
+    if bool_leaves() {
+        // SAFETY: `bool_leaves` is only set by `detect` after
+        // `is_x86_feature_detected!` confirmed avx512f and avx512bw.
         unsafe { bool_mm_avx512(c, a, b) };
         return true;
     }
@@ -148,7 +136,8 @@ pub fn minplus_fw_block(
 
 /// In-place block relax over a `BoolSemiring` table:
 /// `D[i][j] ← D[i][j] ∨ (D[i][k] ∧ D[k][j])`, same order and contract as
-/// [`minplus_fw_block`], for blocks of at most 128 columns.
+/// [`minplus_fw_block`], for blocks of at most 128 columns on a CPU that
+/// also has avx512bw.
 pub fn bool_fw_block(
     grid: &SharedGrid<BoolSemiring>,
     rows: Range<usize>,
@@ -157,12 +146,13 @@ pub fn bool_fw_block(
 ) -> bool {
     assert_block(grid, &rows, &cols, &via);
     #[cfg(target_arch = "x86_64")]
-    if mode() == Mode::Avx512 && cols.len().div_ceil(64) <= BOOL_ROW_VECS {
+    if bool_leaves() && cols.len().div_ceil(64) <= BOOL_ROW_VECS {
         if cols.is_empty() {
             return true;
         }
         let tail = mask64(cols.len() - 64 * (cols.len().div_ceil(64) - 1));
-        // SAFETY: as in `minplus_fw_block`.
+        // SAFETY: avx512f and avx512bw were detected (see `bool_mm`); the
+        // block is inside the table (asserted above) and the caller owns it.
         unsafe {
             match cols.len().div_ceil(64) {
                 1 => bool_fw_rows::<1>(grid, rows, cols, via, tail),

@@ -21,12 +21,19 @@ pub const MM_BASE: usize = paco_core::tuning::MM_BASE;
 ///
 /// Dispatch: a semiring with a
 /// [`SpecializedKernel::mm_block`](paco_core::kernel::SpecializedKernel::mm_block)
-/// override (only
-/// `f64`, which routes to the runtime-selected [`paco_core::simd`]
-/// microkernel) handles the whole leaf; everything else runs the generic
-/// row-sliced loop.  Both paths produce bit-identical results to the
-/// historical per-element loop — same i-k-j reduction order, same fused
-/// `mul_add` — which `tests/kernel_agreement.rs` checks.
+/// override handles the whole leaf (counted as a simd leaf); everything
+/// else runs the generic row-sliced loop.  Three types override it, each
+/// through the runtime-selected [`paco_core::simd`] dispatch:
+///
+/// * `f64` always: same i-k-j reduction order, same fused `mul_add`, so
+///   bit-identical to the historical per-element loop;
+/// * `MinPlus` and `BoolSemiring` in the `avx512f` mode (Bool also needs
+///   avx512bw), declining otherwise.  Same reduction order; `MinPlus`
+///   takes each candidate through the compare-select `vminpd`, not
+///   `f64::min`, so a `±0.0` tie may keep the other sign bit (the values
+///   still compare `==`; see [`paco_core::kernel`]).
+///
+/// `tests/kernel_agreement.rs` checks all three against the generic loop.
 pub fn mm_base<S: Semiring>(c: &mut MatMut<'_, S>, a: &MatRef<'_, S>, b: &MatRef<'_, S>) {
     let n = c.rows();
     let m = c.cols();

@@ -320,14 +320,13 @@ impl<J: Send + Sync> Plan<J> {
     /// Execute the plan on `pool`; `run(proc, &job)` runs on `proc`, steps
     /// on one processor in plan order.
     ///
-    /// A single-wave plan spawns its steps into one `pool.scope`.  A plan of
-    /// several waves also runs in **one** scope: each processor with steps
-    /// gets one task that walks the waves in order and meets the others at
-    /// a spin-then-park barrier between waves, so no wave pays a scope
-    /// hand-off through the calling thread.  If a step panics, the run is poisoned:
-    /// the remaining steps are skipped, every processor still crosses every
-    /// barrier, and the first payload is re-thrown here.  Either way the
-    /// calling thread counts one pool barrier per wave.
+    /// The whole plan runs in **one** `pool.scope`: each processor with
+    /// steps gets one task that walks the waves in order and meets the
+    /// others at a spin-then-park barrier between waves, so no wave pays a
+    /// scope hand-off through the calling thread.  If a step panics, the
+    /// run is poisoned: the remaining steps are skipped, every processor
+    /// still crosses every barrier, and the first payload is re-thrown
+    /// here.  The calling thread counts one pool barrier per wave.
     ///
     /// Panics if the plan targets more processors than the pool has.
     pub fn execute<F>(&self, pool: &WorkerPool, run: F)
@@ -335,24 +334,13 @@ impl<J: Send + Sync> Plan<J> {
         F: Fn(ProcId, &J) + Sync,
     {
         self.check_pool(pool);
-        if let [wave] = self.waves.as_slice() {
-            pool.scope(|s| {
-                for step in wave {
-                    let run = &run;
-                    let job = &step.job;
-                    let proc = step.proc;
-                    s.spawn_on(proc, move || run(proc, job));
-                }
-            });
-        } else {
-            let mut lanes: Vec<Vec<(usize, &J)>> = (0..self.p).map(|_| Vec::new()).collect();
-            for (w, wave) in self.waves.iter().enumerate() {
-                for step in wave {
-                    lanes[step.proc].push((w, &step.job));
-                }
-            }
-            run_waves(pool, self.waves.len(), lanes, &run);
-        }
+        let lanes = lanes(
+            self.p,
+            self.waves
+                .iter()
+                .map(|wave| wave.iter().map(|s| (s.proc, &s.job))),
+        );
+        run_waves(pool, self.waves.len(), lanes, &run);
         sched::record_plan_execution(self.waves.len() as u64, self.steps() as u64);
     }
 }
@@ -360,7 +348,7 @@ impl<J: Send + Sync> Plan<J> {
 impl<J: Send> Plan<J> {
     /// [`Plan::execute`], but consuming the plan and moving each job into its
     /// task — for jobs that carry owned resources (e.g. disjoint `MatMut`
-    /// windows) rather than plain descriptors.  Same scopes, barriers and
+    /// windows) rather than plain descriptors.  Same scope, barriers and
     /// panic semantics.
     pub fn execute_owned<F>(self, pool: &WorkerPool, run: F)
     where
@@ -368,33 +356,37 @@ impl<J: Send> Plan<J> {
     {
         self.check_pool(pool);
         let (waves, steps) = (self.waves.len(), self.steps());
-        if waves == 1 {
-            let wave = self.waves.into_iter().next().unwrap_or_default();
-            pool.scope(|s| {
-                for step in wave {
-                    let run = &run;
-                    let proc = step.proc;
-                    let job = step.job;
-                    s.spawn_on(proc, move || run(proc, job));
-                }
-            });
-        } else {
-            let mut lanes: Vec<Vec<(usize, J)>> = (0..self.p).map(|_| Vec::new()).collect();
-            for (w, wave) in self.waves.into_iter().enumerate() {
-                for step in wave {
-                    lanes[step.proc].push((w, step.job));
-                }
-            }
-            run_waves(pool, waves, lanes, &run);
-        }
+        let lanes = lanes(
+            self.p,
+            self.waves
+                .into_iter()
+                .map(|wave| wave.into_iter().map(|s| (s.proc, s.job))),
+        );
+        run_waves(pool, waves, lanes, &run);
         sched::record_plan_execution(waves as u64, steps as u64);
     }
 }
 
+/// Regroup a plan's `(proc, job)` steps, wave by wave, into one lane per
+/// processor: `lanes[q]` lists `q`'s steps as `(wave, job)` in plan order.
+fn lanes<T, W, S>(p: usize, waves: W) -> Vec<Vec<(usize, T)>>
+where
+    W: IntoIterator<Item = S>,
+    S: IntoIterator<Item = (ProcId, T)>,
+{
+    let mut lanes: Vec<Vec<(usize, T)>> = (0..p).map(|_| Vec::new()).collect();
+    for (w, wave) in waves.into_iter().enumerate() {
+        for (proc, job) in wave {
+            lanes[proc].push((w, job));
+        }
+    }
+    lanes
+}
+
 /// Run `waves` waves in one `pool.scope`: `lanes[q]` lists processor `q`'s
-/// steps as `(wave, job)` in plan order.  Each processor with steps walks
-/// the waves and crosses a [`SpinBarrier`] after every wave but the last
-/// (the scope's join is the last one).  A panicking step poisons the run:
+/// steps as `(wave, job)` in plan order (see [`lanes`]).  Each processor
+/// with steps walks the waves and crosses a [`SpinBarrier`] after every
+/// wave but the last (the scope's join is the last one).  A panicking step poisons the run:
 /// later steps are dropped unrun, the barriers are still crossed, and the
 /// first payload is re-thrown after the join.
 fn run_waves<T: Send, F: Fn(ProcId, T) + Sync>(
@@ -888,6 +880,45 @@ mod tests {
                 });
                 assert!(!panicked, "owned = {owned}, p = {p}");
             }
+        }
+    }
+
+    #[test]
+    fn a_single_wave_plan_takes_the_same_panic_path() {
+        // One wave, two steps per processor; the first step on processor 0
+        // panics.  Both entry points re-throw it and skip the steps that
+        // come after it, exactly as in a multi-wave plan.
+        let steps = || {
+            (0..4)
+                .map(|i| Step {
+                    proc: i % 2,
+                    job: i,
+                })
+                .collect::<Vec<_>>()
+        };
+        for owned in [false, true] {
+            let pool = WorkerPool::new(2);
+            let ran = Mutex::new(Vec::new());
+            let step = |_: ProcId, i: usize| {
+                if i == 0 {
+                    panic!("first step fails");
+                }
+                ran.lock().push(i);
+            };
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                if owned {
+                    Plan::single_wave(2, steps()).execute_owned(&pool, step);
+                } else {
+                    Plan::single_wave(2, steps()).execute(&pool, |q, &i| step(q, i));
+                }
+            }));
+            let payload = outcome.expect_err("the step's panic must re-throw");
+            assert_eq!(
+                payload.downcast_ref::<&str>().copied(),
+                Some("first step fails")
+            );
+            // Step 2 follows the panic on processor 0 and never runs.
+            assert!(!ran.lock().contains(&2), "owned = {owned}");
         }
     }
 
