@@ -42,7 +42,7 @@ pub mod parallel;
 
 pub use parallel::{gap_po, plan_gap, GapRun};
 
-use crate::shared::SharedGrid;
+use paco_core::shared::SharedGrid;
 
 /// The GAP cost functions; all must be O(1) and memory-free.
 pub trait GapCost: Sync {

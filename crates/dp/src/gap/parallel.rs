@@ -6,9 +6,9 @@
 //! paper makes.
 
 use super::{block_bounds, gap_block, GapCost};
-use crate::shared::SharedGrid;
 use paco_core::arena::ScratchArena;
 use paco_core::proc_list::ProcList;
+use paco_core::shared::SharedGrid;
 use paco_runtime::schedule::{Plan, Step};
 use rayon::prelude::*;
 use std::sync::Arc;

@@ -25,10 +25,10 @@
 //! not change any of the compared quantities, since every variant pays for the
 //! same table).
 
-use crate::shared::SharedGrid;
 use paco_cache_sim::layout::{AddressSpace, Layout1D, Layout2D};
 use paco_cache_sim::Tracker;
 use paco_core::metrics::sched::kernel as kernel_metrics;
+use paco_core::shared::SharedGrid;
 use std::ops::Range;
 
 /// Default base-case side of the cache-oblivious recursion (an alias of the

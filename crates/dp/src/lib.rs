@@ -23,4 +23,3 @@
 pub mod gap;
 pub mod lcs;
 pub mod one_d;
-pub mod shared;

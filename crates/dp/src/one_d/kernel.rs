@@ -1,7 +1,7 @@
 //! Sequential 1D kernels: the self-updating triangle and the external-updating
 //! square (Lemma 5 of the paper).
 
-use crate::shared::SharedSlice;
+use paco_core::shared::SharedSlice;
 use std::ops::Range;
 
 /// Default base-case length of the recursive decomposition (an alias of the

@@ -24,9 +24,9 @@
 //! the pseudo-code are preserved without any work stealing.
 
 use super::kernel::{square_update, triangle_co, Weight};
-use crate::shared::SharedSlice;
 use paco_core::arena::ScratchArena;
 use paco_core::proc_list::ProcList;
+use paco_core::shared::SharedSlice;
 use paco_runtime::schedule::{Front, Plan, PlanBuilder};
 use std::ops::Range;
 use std::sync::Arc;

@@ -10,7 +10,7 @@
 //! competitor.
 
 use super::kernel::{square_update, Weight};
-use crate::shared::SharedSlice;
+use paco_core::shared::SharedSlice;
 use std::ops::Range;
 
 /// Processor-oblivious parallel 1D: returns the full `D[0..=n]` array.

@@ -70,6 +70,14 @@ impl<S: Semiring> FwTable<S> {
     ///
     /// Panics if the matrix is not square.
     pub fn from_matrix(adj: &Matrix<S>) -> Self {
+        Self::from_owned(adj.clone())
+    }
+
+    /// Take a square matrix over as the table, adopting its allocation: no
+    /// copy.
+    ///
+    /// Panics if the matrix is not square.
+    pub fn from_owned(adj: Matrix<S>) -> Self {
         assert_eq!(
             adj.rows(),
             adj.cols(),
@@ -77,7 +85,7 @@ impl<S: Semiring> FwTable<S> {
         );
         let n = adj.rows();
         Self {
-            grid: SharedGrid::from_vec(n, n, adj.data().to_vec()),
+            grid: SharedGrid::from_vec(n, n, adj.into_vec()),
             n,
         }
     }

@@ -31,7 +31,7 @@
 //! |---|---|---|
 //! | sequential CO | [`fw_seq`] | — (the A/B/C/D recursion of [`seq`]) |
 //! | PO | [`fw_po`] | randomized work stealing (`rayon::join`) |
-//! | PACO | [`FwRun`] via `paco_service::Session` | 1-PIECE processor lists on a pinned `WorkerPool` |
+//! | PACO | [`FwRun`] via `paco_service::Session` | 1-PIECE processor lists on a `WorkerPool` |
 //!
 //! The kernels are generic over [`paco_cache_sim::Tracker`], and the
 //! sequential and PACO variants have `*_traced` twins ([`fw_seq_traced`],

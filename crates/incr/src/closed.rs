@@ -139,10 +139,18 @@ struct Frontier<S> {
 ///
 /// Invariant (checked bit-for-bit by the `tests/incr.rs` proptests):
 /// `closed == fw_seq(&adj)` after every construction and every batch.
+///
+/// A batch whose first effective update has no incremental form can also be
+/// re-closed *outside* the state, on a parallel plan: [`Self::reclose_start`]
+/// classifies it, [`Self::reclose_input`] hands out the adjacency to close,
+/// and [`Self::commit`] installs the closure — but only if no other batch
+/// landed in between, which the [`Self::version`] counter detects.
 #[derive(Debug, Clone)]
 pub struct ClosedState<S: IdempotentSemiring> {
     adj: Matrix<S>,
     closed: Matrix<S>,
+    /// Bumped by every [`Self::apply_batch`] and [`Self::commit`].
+    version: u64,
 }
 
 impl<S: IdempotentSemiring> ClosedState<S> {
@@ -150,7 +158,11 @@ impl<S: IdempotentSemiring> ClosedState<S> {
     pub fn close(adj: Matrix<S>, fw_base: usize) -> Self {
         assert_eq!(adj.rows(), adj.cols(), "closure needs a square adjacency");
         let closed = fw_seq(&adj, fw_base);
-        Self { adj, closed }
+        Self {
+            adj,
+            closed,
+            version: 0,
+        }
     }
 
     /// Adopt an already-computed closure (e.g. one produced by the parallel
@@ -159,7 +171,11 @@ impl<S: IdempotentSemiring> ClosedState<S> {
         assert_eq!(adj.rows(), adj.cols(), "closure needs a square adjacency");
         assert_eq!(adj.rows(), closed.rows(), "adjacency/closure side mismatch");
         assert_eq!(closed.rows(), closed.cols(), "closure must be square");
-        Self { adj, closed }
+        Self {
+            adj,
+            closed,
+            version: 0,
+        }
     }
 
     /// Vertex count.
@@ -175,6 +191,90 @@ impl<S: IdempotentSemiring> ClosedState<S> {
     /// The current closure of [`Self::adjacency`].
     pub fn closed(&self) -> &Matrix<S> {
         &self.closed
+    }
+
+    /// A counter bumped by every batch and every commit: a re-closure
+    /// computed from [`Self::reclose_input`] may be committed only while it
+    /// still reads the same.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Whether the batch's first *effective* update (one whose weight
+    /// differs from the adjacency) has no incremental form — it is not
+    /// improving, or its cycle is unsafe — so [`Self::apply_batch`] would
+    /// re-close everything from there on.  Returns that update's index.
+    ///
+    /// `None` when the batch starts incrementally, is all no-ops, or names
+    /// an out-of-bounds edge (which `apply_batch` then reports).  Reads
+    /// `O(1)` entries per update of the no-op prefix.
+    pub fn reclose_start(&self, updates: &[EdgeUpdate<S>]) -> Option<usize> {
+        let n = self.n();
+        let in_bounds = |up: &EdgeUpdate<S>| up.from < n && up.to < n;
+        for (idx, up) in updates.iter().enumerate() {
+            if !in_bounds(up) {
+                return None;
+            }
+            if up.weight == self.adj[(up.from, up.to)] {
+                continue;
+            }
+            let recloses = !self.incremental_form(up.from, up.to, up.weight)
+                && updates[idx..].iter().all(in_bounds);
+            return recloses.then_some(idx);
+        }
+        None
+    }
+
+    /// The [`UpdateStats`] that [`Self::apply_batch`] returns for a batch of
+    /// `len` updates re-closing from `start` (see [`Self::reclose_start`]):
+    /// the no-op prefix counts as incremental, the rest as one fallback.
+    pub fn reclose_stats(&self, len: usize, start: usize, block: usize) -> UpdateStats {
+        let nb = self.n().div_ceil(block.max(1)) as u64;
+        UpdateStats {
+            updates: len as u64,
+            incremental: start as u64,
+            full: (len - start) as u64,
+            full_fallbacks: 1,
+            blocks_total: start as u64 * nb * nb,
+            ..UpdateStats::default()
+        }
+    }
+
+    /// The adjacency with `rest` written in: what a re-closure starting at
+    /// [`Self::reclose_start`] closes.  The one `n²` copy the re-closure
+    /// makes.
+    pub fn reclose_input(&self, rest: &[EdgeUpdate<S>]) -> Matrix<S> {
+        let mut adj = self.adj.clone();
+        write_updates(&mut adj, rest);
+        adj
+    }
+
+    /// Install `closed`, the closure of [`Self::reclose_input`]`(rest)`
+    /// taken at `version`: write `rest` into the adjacency and adopt
+    /// `closed`'s allocation, no copy.  Returns `false` and changes nothing
+    /// when another batch landed since `version` — the caller then applies
+    /// its batch afresh with [`Self::apply_batch`].
+    pub fn commit(&mut self, version: u64, rest: &[EdgeUpdate<S>], closed: Matrix<S>) -> bool {
+        if version != self.version {
+            return false;
+        }
+        assert_eq!(closed.rows(), self.n(), "adjacency/closure side mismatch");
+        write_updates(&mut self.adj, rest);
+        self.closed = closed;
+        self.version += 1;
+        true
+    }
+
+    /// The two eligibility conditions of the module docs: an improving
+    /// assignment (≡ a join), whose best cycle is absorbed by 1.
+    fn incremental_form(&self, u: usize, v: usize, w: S) -> bool {
+        let improving = w.add(self.adj[(u, v)]) == w;
+        let d_vu = if v == u {
+            S::one().add(self.closed[(v, u)])
+        } else {
+            self.closed[(v, u)]
+        };
+        improving && S::one().add(w.mul(d_vu)) == S::one()
     }
 
     /// Apply a batch of edge assignments in order, keeping the closure exact.
@@ -201,6 +301,7 @@ impl<S: IdempotentSemiring> ClosedState<S> {
             updates: updates.len() as u64,
             ..UpdateStats::default()
         };
+        self.version += 1;
 
         for (idx, up) in updates.iter().enumerate() {
             let (u, v, w) = (up.from, up.to, up.weight);
@@ -213,16 +314,7 @@ impl<S: IdempotentSemiring> ClosedState<S> {
                 continue;
             }
 
-            // Eligibility: improving assignment ≡ join, and the best cycle
-            // through the new edge must be absorbed by 1 (see module docs).
-            let improving = w.add(self.adj[(u, v)]) == w;
-            let d_vu = if v == u {
-                S::one().add(self.closed[(v, u)])
-            } else {
-                self.closed[(v, u)]
-            };
-            let cycle_safe = S::one().add(w.mul(d_vu)) == S::one();
-            if !(improving && cycle_safe) {
+            if !self.incremental_form(u, v, w) {
                 // Worsening assignment or unsafe cycle: no incremental form.
                 self.full_fallback(&updates[idx..], fw_base, &mut stats);
                 break;
@@ -251,12 +343,7 @@ impl<S: IdempotentSemiring> ClosedState<S> {
 
     /// Write `rest` into the adjacency and re-close from scratch once.
     fn full_fallback(&mut self, rest: &[EdgeUpdate<S>], fw_base: usize, stats: &mut UpdateStats) {
-        let n = self.n();
-        for up in rest {
-            let (u, v) = (up.from, up.to);
-            assert!(u < n && v < n, "edge ({u}, {v}) out of bounds for n = {n}");
-            self.adj[(u, v)] = up.weight;
-        }
+        write_updates(&mut self.adj, rest);
         self.closed = fw_seq(&self.adj, fw_base);
         stats.full += rest.len() as u64;
         stats.full_fallbacks += 1;
@@ -342,6 +429,16 @@ impl<S: IdempotentSemiring> ClosedState<S> {
             }
         }
         repropagated
+    }
+}
+
+/// Assign every update of `rest` into `adj`, in order.
+fn write_updates<S: Copy>(adj: &mut Matrix<S>, rest: &[EdgeUpdate<S>]) {
+    let n = adj.rows();
+    for up in rest {
+        let (u, v) = (up.from, up.to);
+        assert!(u < n && v < n, "edge ({u}, {v}) out of bounds for n = {n}");
+        adj[(u, v)] = up.weight;
     }
 }
 
@@ -438,6 +535,72 @@ mod tests {
         let stats = state.apply_batch(&[EdgeUpdate::new(0, 13, Bottleneck(100.0))], 4, 100, 4);
         assert_in_sync(&state);
         assert_eq!(stats.incremental, 1);
+    }
+
+    fn finite_edge(state: &ClosedState<MinPlus>) -> (usize, usize) {
+        let n = state.n();
+        (0..n * n)
+            .map(|c| (c / n, c % n))
+            .find(|&(u, v)| u != v && state.adjacency()[(u, v)].0.is_finite())
+            .expect("a finite edge")
+    }
+
+    #[test]
+    fn reclosing_outside_matches_apply_batch_after_a_noop_prefix() {
+        let adj = random_digraph(29, 0.2, 30, 17);
+        let state = ClosedState::close(adj, 8);
+        let noop = EdgeUpdate::new(3, 4, state.adjacency()[(3, 4)]);
+        let (u, v) = finite_edge(&state);
+        let worse = EdgeUpdate::new(u, v, MinPlus(state.adjacency()[(u, v)].0 + 5.0));
+        let batch = [noop, worse, EdgeUpdate::new(7, 20, MinPlus(1.0))];
+        assert_eq!(state.reclose_start(&batch), Some(1));
+
+        let mut inline = state.clone();
+        let expect = inline.apply_batch(&batch, 8, 100, 8);
+        let mut outside = state.clone();
+        let closed = fw_seq(&outside.reclose_input(&batch[1..]), 8);
+        assert!(outside.commit(state.version(), &batch[1..], closed));
+        assert_eq!(outside.reclose_stats(batch.len(), 1, 8), expect);
+        assert_eq!(outside.adjacency(), inline.adjacency());
+        assert_eq!(outside.closed(), inline.closed());
+        assert_in_sync(&outside);
+    }
+
+    #[test]
+    fn a_commit_after_another_batch_changes_nothing() {
+        let adj = random_digraph(20, 0.25, 20, 19);
+        let mut state = ClosedState::close(adj, 8);
+        let version = state.version();
+        let closed = fw_seq(&state.reclose_input(&[]), 8);
+        state.apply_batch(&[EdgeUpdate::new(2, 9, MinPlus(1.0))], 8, 100, 8);
+        let before = state.clone();
+        assert!(!state.commit(version, &[], closed));
+        assert_eq!(state.version(), before.version());
+        assert_eq!(state.adjacency(), before.adjacency());
+        assert_eq!(state.closed(), before.closed());
+    }
+
+    #[test]
+    fn only_an_ineligible_first_effective_update_recloses() {
+        let adj = random_digraph(16, 0.3, 10, 23);
+        let state = ClosedState::close(adj, 8);
+        let (u, v) = finite_edge(&state);
+        let same = EdgeUpdate::new(u, v, state.adjacency()[(u, v)]);
+        let deletion = EdgeUpdate::new(u, v, MinPlus::zero());
+        let improving = EdgeUpdate::new(5, 6, MinPlus(0.5));
+        assert_eq!(state.reclose_start(&[]), None);
+        assert_eq!(state.reclose_start(&[same, same]), None);
+        assert_eq!(state.reclose_start(&[improving, deletion]), None);
+        assert_eq!(state.reclose_start(&[same, deletion, improving]), Some(1));
+        // Out-of-bounds edges stay on the step path, where the batch panics.
+        assert_eq!(
+            state.reclose_start(&[EdgeUpdate::new(16, 0, MinPlus(1.0))]),
+            None
+        );
+        assert_eq!(
+            state.reclose_start(&[deletion, EdgeUpdate::new(0, 99, MinPlus(1.0))]),
+            None
+        );
     }
 
     #[test]

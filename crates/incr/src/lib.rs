@@ -26,6 +26,12 @@
 //!   [`Tuning::incr_fallback_percent`] of the block grid re-closes the
 //!   adjacency from scratch.  Both paths produce bit-identical closures;
 //!   the threshold only trades bookkeeping for bulk recompute.
+//! * **Re-closure elsewhere** — when a batch's first effective update
+//!   already has no incremental form ([`ClosedState::reclose_start`]), the
+//!   caller may close [`ClosedState::reclose_input`] on a parallel plan and
+//!   [`ClosedState::commit`] the result; the [`ClosedState::version`]
+//!   counter refuses a commit that another batch overtook.  `paco_service`
+//!   runs `IncUpdate`'s re-closure this way.
 //!
 //! [`HandleRegistry`] stores `ClosedState`s type-erased behind small `Copy`
 //! [`ClosedGraph`] handles so `paco_service` can route update requests to

@@ -9,7 +9,7 @@
 //! algorithms we need three things a work-stealing runtime does not give us:
 //!
 //! 1. **Placement** — run *this* task on *that* processor.
-//!    [`pool::WorkerPool`] provides `p` pinned workers and a scoped
+//!    [`pool::WorkerPool`] provides `p` long-lived workers and a scoped
 //!    `spawn_on(proc, closure)` primitive; tasks on one processor run in
 //!    submission order, tasks on different processors run concurrently.
 //! 2. **Partitioning** — the generic pruned-BFS engine over any
@@ -44,5 +44,5 @@ pub use bfs::{
     BfsOptions, DcNode,
 };
 pub use hetero::{hetero_pruned_bfs, ThrottleSpec};
-pub use pool::{fork2, PoolScope, WorkerPool};
+pub use pool::{PoolScope, WorkerPool};
 pub use schedule::{Front, Plan, PlanBuilder, PlanProfile, Step};

@@ -44,7 +44,11 @@ enum Message {
     Shutdown,
 }
 
-/// A pool of `p` pinned, long-lived workers addressed by processor id.
+/// A pool of `p` long-lived workers addressed by processor id.
+///
+/// Workers are *not* pinned to cores: the pool sets no CPU affinity, so the
+/// operating system may migrate a worker between cores, and "processor
+/// `i`" names a thread, not a core.  Opt-in placement is ROADMAP item 1(c).
 ///
 /// The pool is `Send`: the thread that builds it need not be the thread that
 /// drives it.  The service layer's concurrent front door relies on this —
@@ -212,57 +216,6 @@ impl Drop for WorkerPool {
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
-        }
-    }
-}
-
-/// Run two branches of a processor-aware recursion concurrently and wait for
-/// both.
-///
-/// The branch whose processor list is `p1` is considered the "own" branch: when
-/// the caller is already executing on `p1`'s first processor (`cur ==
-/// Some(p1.first())`), that branch runs inline on the current thread while the
-/// other branch is spawned onto `p2.first()`; when the caller is outside the
-/// pool (`cur == None`), both branches are spawned.  Each branch receives the
-/// processor id it is (now) running on, to thread through recursive calls.
-///
-/// This is the execution discipline used by every "1-PIECE"-style PACO
-/// recursion (PACO 1D's `COP-1D□`, PACO MM-1-PIECE, PACO HETERO-MM): it
-/// realises the pseudo-code's `spawn`/`sync` on explicit processor lists while
-/// guaranteeing that a worker never waits on work queued behind it on its own
-/// queue (it only ever waits for *other* workers).
-pub fn fork2<F1, F2>(
-    pool: &WorkerPool,
-    cur: Option<ProcId>,
-    p1: paco_core::proc_list::ProcList,
-    f1: F1,
-    p2: paco_core::proc_list::ProcList,
-    f2: F2,
-) where
-    F1: FnOnce(Option<ProcId>) + Send,
-    F2: FnOnce(Option<ProcId>) + Send,
-{
-    assert!(
-        !p1.is_empty() && !p2.is_empty(),
-        "fork2 needs two non-empty lists"
-    );
-    match cur {
-        None => {
-            pool.scope(|s| {
-                s.spawn_on(p1.first(), move || f1(Some(p1.first())));
-                s.spawn_on(p2.first(), move || f2(Some(p2.first())));
-            });
-        }
-        Some(c) => {
-            assert_eq!(
-                c,
-                p1.first(),
-                "fork2: the current processor must lead the first (own) list"
-            );
-            pool.scope(|s| {
-                s.spawn_on(p2.first(), move || f2(Some(p2.first())));
-                f1(Some(c));
-            });
         }
     }
 }
@@ -629,81 +582,6 @@ mod tests {
         let payload = result.expect_err("scope must panic");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "closure payload");
-    }
-
-    #[test]
-    fn fork2_from_outside_the_pool_runs_both_branches() {
-        use paco_core::proc_list::ProcList;
-        let pool = WorkerPool::new(4);
-        let procs = ProcList::all(4);
-        let (p1, p2) = procs.split_even();
-        let log = parking_lot::Mutex::new(Vec::new());
-        fork2(
-            &pool,
-            None,
-            p1,
-            |cur| log.lock().push(("left", cur)),
-            p2,
-            |cur| log.lock().push(("right", cur)),
-        );
-        let log = log.lock();
-        assert_eq!(log.len(), 2);
-        assert!(log.contains(&("left", Some(p1.first()))));
-        assert!(log.contains(&("right", Some(p2.first()))));
-    }
-
-    #[test]
-    fn fork2_nested_recursion_descends_processor_lists() {
-        use paco_core::proc_list::ProcList;
-        // A miniature 1-PIECE-style recursion: split the list until singletons,
-        // count one unit of work per leaf, and record which worker ran it.
-        let pool = WorkerPool::new(5);
-        let hits: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(0)).collect();
-
-        fn recurse(pool: &WorkerPool, cur: Option<usize>, procs: ProcList, hits: &[AtomicUsize]) {
-            if procs.len() == 1 {
-                let target = procs.only();
-                if cur == Some(target) {
-                    hits[target].fetch_add(1, Ordering::SeqCst);
-                } else {
-                    pool.scope(|s| {
-                        s.spawn_on(target, || {
-                            hits[target].fetch_add(1, Ordering::SeqCst);
-                        })
-                    });
-                }
-                return;
-            }
-            let (p1, p2) = procs.split_even();
-            fork2(
-                pool,
-                cur,
-                p1,
-                |c| recurse(pool, c, p1, hits),
-                p2,
-                |c| recurse(pool, c, p2, hits),
-            );
-        }
-
-        recurse(&pool, None, ProcList::all(5), &hits);
-        for (proc, h) in hits.iter().enumerate() {
-            assert_eq!(
-                h.load(Ordering::SeqCst),
-                1,
-                "processor {proc} ran its leaf exactly once"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn fork2_rejects_a_foreign_current_processor() {
-        use paco_core::proc_list::ProcList;
-        let pool = WorkerPool::new(4);
-        let (p1, p2) = ProcList::all(4).split_even();
-        // Claiming to run on p2's leader while passing it as the *second* list
-        // violates the discipline and must be rejected loudly.
-        fork2(&pool, Some(p2.first()), p1, |_| {}, p2, |_| {});
     }
 
     #[test]

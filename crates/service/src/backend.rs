@@ -23,7 +23,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Backend {
     /// The shared-memory worker pool (the default): every request runs its
-    /// plan on `p` pinned workers over shared tables.
+    /// plan on `p` workers over shared tables.
     #[default]
     Local,
     /// The shared-nothing superstep emulation: every eligible request runs

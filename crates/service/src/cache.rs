@@ -98,7 +98,7 @@ impl SkeletonCache {
         key: ShapeKey,
         p: usize,
         epoch: u64,
-        compile: impl FnOnce() -> Skeleton,
+        compile: impl FnOnce(&ShapeKey) -> Skeleton,
     ) -> Skeleton {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut map = self.map.lock();
@@ -107,7 +107,7 @@ impl SkeletonCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return entry.skeleton.clone();
         }
-        let skeleton = compile();
+        let skeleton = compile(&key);
         self.misses.fetch_add(1, Ordering::Relaxed);
         if map.len() >= self.cap {
             // Evict the least-recently-touched entry (stale-epoch entries
@@ -161,7 +161,7 @@ mod tests {
         let key = ShapeKey::new("t", [3]);
         let mut compiles = 0;
         for _ in 0..5 {
-            let s = cache.get_or_compile(key.clone(), 2, 0, || {
+            let s = cache.get_or_compile(key.clone(), 2, 0, |_| {
                 compiles += 1;
                 skeleton(3)
             });
@@ -173,13 +173,13 @@ mod tests {
         assert!((stats.hit_ratio() - 0.8).abs() < 1e-12);
 
         // Same shape, new epoch: a fresh compile.
-        cache.get_or_compile(key.clone(), 2, 1, || {
+        cache.get_or_compile(key.clone(), 2, 1, |_| {
             compiles += 1;
             skeleton(3)
         });
         assert_eq!(compiles, 2);
         // Different p: also a fresh compile.
-        cache.get_or_compile(key, 3, 1, || {
+        cache.get_or_compile(key, 3, 1, |_| {
             compiles += 1;
             skeleton(3)
         });
@@ -191,17 +191,17 @@ mod tests {
     fn capacity_bound_evicts_the_least_recently_used() {
         let cache = SkeletonCache::new(2);
         let key = |i: u64| ShapeKey::new("t", [i]);
-        cache.get_or_compile(key(0), 1, 0, || skeleton(1));
-        cache.get_or_compile(key(1), 1, 0, || skeleton(1));
+        cache.get_or_compile(key(0), 1, 0, |_| skeleton(1));
+        cache.get_or_compile(key(1), 1, 0, |_| skeleton(1));
         // Touch 0 so 1 becomes the LRU entry...
-        cache.get_or_compile(key(0), 1, 0, || unreachable!("0 is cached"));
+        cache.get_or_compile(key(0), 1, 0, |_| unreachable!("0 is cached"));
         // ...then inserting 2 must evict 1, not 0.
-        cache.get_or_compile(key(2), 1, 0, || skeleton(1));
+        cache.get_or_compile(key(2), 1, 0, |_| skeleton(1));
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.evictions), (2, 1));
-        cache.get_or_compile(key(0), 1, 0, || unreachable!("0 survived"));
+        cache.get_or_compile(key(0), 1, 0, |_| unreachable!("0 survived"));
         let mut recompiled = false;
-        cache.get_or_compile(key(1), 1, 0, || {
+        cache.get_or_compile(key(1), 1, 0, |_| {
             recompiled = true;
             skeleton(1)
         });

@@ -6,7 +6,7 @@
 //! engine accepts requests **from any thread at any time** — including while
 //! a pass is in flight — through cheap [`Client`] handles,
 //! and executes them on its own dedicated executor threads.  Each *shard*
-//! owns a pinned [`WorkerPool`](paco_runtime::WorkerPool) plus the engine's
+//! owns a [`WorkerPool`](paco_runtime::WorkerPool) plus the engine's
 //! [`Tuning`] (one pass core per shard, the same core `Session::flush`
 //! drives synchronously), drains its multi-producer queue under the
 //! engine's [`BatchPolicy`], merges whatever it gathered through
@@ -226,7 +226,7 @@ impl EngineShared {
                     req.shape_key(),
                     ranks,
                     self.tuning.epoch,
-                    || req.skeleton(&self.tuning, ranks),
+                    |key| req.skeleton_for(key, &self.tuning, ranks),
                 );
                 match req.bind_dist(
                     &skeleton,
@@ -244,8 +244,8 @@ impl EngineShared {
             }
         };
         let skeleton =
-            self.caches[shard].get_or_compile(req.shape_key(), self.p, self.tuning.epoch, || {
-                req.skeleton(&self.tuning, self.p)
+            self.caches[shard].get_or_compile(req.shape_key(), self.p, self.tuning.epoch, |key| {
+                req.skeleton_for(key, &self.tuning, self.p)
             });
         req.bind(&skeleton, &self.tuning, self.p, &self.arenas[shard])
             .inner
@@ -371,7 +371,9 @@ impl EngineShared {
 /// A snapshot of one shard's occupancy and work so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Executor passes this shard ran.
+    /// Batches this shard's executor drained and ran.  A batch counts
+    /// once even when a re-closing [`IncUpdate`](crate::IncUpdate) splits
+    /// it into two pool passes (see [`Session::flush`](crate::Session::flush)).
     pub passes: u64,
     /// Requests this shard executed (resolved or poisoned).
     pub requests: u64,
@@ -475,7 +477,7 @@ impl EngineStats {
 }
 
 /// The concurrent front door: a set of executor shards (each owning its own
-/// pinned worker pool) serving a multi-producer submission queue under a
+/// worker pool) serving a multi-producer submission queue under a
 /// [`BatchPolicy`].
 ///
 /// Construction spawns the executor threads; [`Engine::client`] hands out
@@ -737,7 +739,7 @@ impl EngineBuilder {
 
         let executors = (0..policy.shards)
             .map(|shard_id| {
-                // The pool handoff: build each shard's pinned pool here and
+                // The pool handoff: build each shard's pool here and
                 // move it into the executor thread that will own it.
                 let core = PassCore::new(p, tuning.clone());
                 let shared = Arc::clone(&shared);

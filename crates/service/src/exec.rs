@@ -1,7 +1,7 @@
 //! The executor core shared by the synchronous [`Session`](crate::Session)
 //! and the concurrent [`Engine`](crate::Engine).
 //!
-//! A [`PassCore`] owns one pinned [`WorkerPool`] plus the [`Tuning`] every
+//! A [`PassCore`] owns one [`WorkerPool`] plus the [`Tuning`] every
 //! request is compiled with, and knows how to run a *pass*: merge a batch of
 //! compiled requests wave-by-wave ([`Plan::batch`]), execute the merged plan
 //! through one pool traversal, and settle each request's output slot —
@@ -13,7 +13,7 @@
 use crate::client::SubmitOptions;
 use crate::policy::Priority;
 use crate::session::RunStats;
-use crate::solve::Prepared;
+use crate::solve::{Prepared, StateAccess};
 use crate::ticket::{self, Slot, SlotState};
 use paco_core::metrics::sched;
 use paco_core::tuning::Tuning;
@@ -117,24 +117,26 @@ impl PassCore {
     /// borrows the skeletons ([`Plan::batch_refs`]) — they are usually
     /// shared with the plan cache, and a coalesced pass must not deep-copy
     /// what caching just avoided compiling.
-    pub(crate) fn execute_merged(&self, prepared: &[&dyn Prepared]) {
+    fn execute_merged(&self, prepared: &[&dyn Prepared]) {
         let plans: Vec<&Plan<usize>> = prepared.iter().map(|p| p.skeleton()).collect();
-        let merged = Plan::batch_refs(&plans);
-        self.record(prepared.len() as u64, || {
-            merged.execute(&self.pool, |proc, &(inst, idx)| {
-                prepared[inst].run_step(proc, idx);
-            });
+        Plan::batch_refs(&plans).execute(&self.pool, |proc, &(inst, idx)| {
+            prepared[inst].run_step(proc, idx);
         });
     }
 
-    /// Run one pass over a batch of pending requests and settle every slot.
+    /// Run a batch of pending requests and settle every slot, in as few
+    /// pool passes as request order allows: a pass ends before a request
+    /// that touches a closed-graph state another request of the pass
+    /// commits to at finish ([`StateAccess::AtFinish`]), and the rest runs
+    /// as the next pass.  Outputs are taken (and re-closures committed)
+    /// after each pass, so every request sees its predecessors' effects.
     ///
     /// On success each slot becomes [`SlotState::Done`] and the request
-    /// count is returned.  If any step panics, *every* slot of the pass is
-    /// poisoned (the requests' shared state may be half-written, so no
-    /// output can be salvaged) and the panic payload is handed back — the
-    /// synchronous caller re-throws it, the engine executor records it and
-    /// keeps serving.
+    /// count is returned.  If any step panics, every slot of that pass and
+    /// of the passes after it is *poisoned* (the requests' shared state may
+    /// be half-written, so no output can be salvaged) and the panic payload
+    /// is handed back — the synchronous caller re-throws it, the engine
+    /// executor records it and keeps serving.
     pub(crate) fn run_pass(
         &self,
         pending: &mut [PendingRequest],
@@ -142,28 +144,40 @@ impl PassCore {
         if pending.is_empty() {
             return Ok(0);
         }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let prepared: Vec<&dyn Prepared> = pending.iter().map(|p| &*p.prepared).collect();
-            self.execute_merged(&prepared);
-        }));
-        if let Err(payload) = outcome {
-            for p in pending.iter() {
-                ticket::resolve(&p.slot, SlotState::Poisoned);
+        self.record(pending.len() as u64, || {
+            let mut start = 0;
+            while start < pending.len() {
+                let rest = &mut pending[start..];
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let prepared: Vec<&dyn Prepared> = rest.iter().map(|p| &*p.prepared).collect();
+                    let len = pass_len(&prepared);
+                    self.execute_merged(&prepared[..len]);
+                    len
+                }));
+                let len = match outcome {
+                    Ok(len) => len,
+                    Err(payload) => {
+                        for p in rest.iter() {
+                            ticket::resolve(&p.slot, SlotState::Poisoned);
+                        }
+                        return Err(payload);
+                    }
+                };
+                for p in &mut rest[..len] {
+                    let out = p.prepared.take_output();
+                    ticket::resolve(&p.slot, SlotState::Done(out));
+                }
+                start += len;
             }
-            return Err(payload);
-        }
-        for p in pending.iter_mut() {
-            let out = p.prepared.take_output();
-            ticket::resolve(&p.slot, SlotState::Done(out));
-        }
-        Ok(pending.len())
+            Ok(pending.len())
+        })
     }
 
     /// Run `execute` and record the scheduling-counter delta it produced as
     /// the core's latest [`RunStats`].
-    pub(crate) fn record(&self, requests: u64, execute: impl FnOnce()) {
+    fn record<R>(&self, requests: u64, execute: impl FnOnce() -> R) -> R {
         let before = sched::snapshot();
-        execute();
+        let out = execute();
         let delta = sched::snapshot().since(&before);
         *self.last.lock() = RunStats {
             requests,
@@ -171,5 +185,22 @@ impl PassCore {
             plan_steps: delta.plan_steps,
             pool_barriers: delta.pool_barriers,
         };
+        out
     }
+}
+
+/// How many requests from the front of `prepared` may share one pass: all
+/// of them, unless one touches a state that an earlier request of the
+/// prefix commits to at finish.  Allocates nothing, and reads each request
+/// once, when no request commits at finish.
+fn pass_len(prepared: &[&dyn Prepared]) -> usize {
+    let mut committing: Vec<usize> = Vec::new();
+    for (i, p) in prepared.iter().enumerate() {
+        match p.state_access() {
+            Some(access) if committing.contains(&access.state()) => return i,
+            Some(StateAccess::AtFinish(state)) => committing.push(state),
+            _ => {}
+        }
+    }
+    prepared.len()
 }

@@ -8,10 +8,14 @@
 //!   sharing the `"closure"` skeleton cache entries with
 //!   [`Closure`](crate::Closure) — and **registers** the result in a
 //!   [`HandleRegistry`], resolving to a `Copy` [`ClosedGraph`] handle;
-//! * [`IncUpdate`] applies an [`EdgeUpdate`] batch to the handle's state by
-//!   dirty-block re-propagation (full re-closure fallback per
-//!   [`Tuning::incr_fallback_percent`]), resolving to the batch's exact
-//!   [`UpdateStats`];
+//! * [`IncUpdate`] applies an [`EdgeUpdate`] batch to the handle's state,
+//!   resolving to the batch's exact [`UpdateStats`].  It compiles to one of
+//!   two plans, chosen at submission by reading the state: a single step on
+//!   processor 0 (dirty-block re-propagation, with a sequential re-closure
+//!   if the batch needs one part-way or its frontier passes
+//!   [`Tuning::incr_fallback_percent`]), or — when the batch's first
+//!   effective update already has no incremental form — FW's parallel plan
+//!   over the updated adjacency, committed to the state at finish;
 //! * [`IncSnapshot`] reads the current closed matrix out of a handle;
 //! * [`IncDrop`] retires a handle;
 //! * [`LcsTrace`] is stateless but compositional: it turns the LCS *length*
@@ -22,8 +26,13 @@
 //! id, so a multi-shard [`Engine`](crate::Engine) keeps one graph's
 //! updates on one shard (queue/cache/arena affinity).  Correctness never
 //! rides on that routing: the state sits behind a mutex in the shared
-//! registry, and each update batch is applied atomically under one lock
-//! acquisition inside its single plan step.
+//! registry.  A single-step batch is applied under one lock acquisition
+//! inside its step; a re-closing batch commits under one lock acquisition
+//! at finish, and only if no other batch reached the state since it was
+//! bound (otherwise it applies its batch afresh there).  Within one pass,
+//! requests on a handle keep their submission order: the executor ends the
+//! pass before any later request on a handle that a re-closing update of
+//! the pass commits to, and runs that request in the next pass.
 //!
 //! Handles resolve at **bind time**: submitting an update for a dropped (or
 //! foreign-registry) handle panics on the submitting thread with a clear
@@ -31,22 +40,25 @@
 //! a resolved [`IncClose`] ticket, so the ordinary lifecycle — close, then
 //! update — cannot race itself.
 
-use crate::solve::{Compiled, ShapeKey, Skeleton, Solve, WorkloadRun};
+use crate::requests::{closure_key, fw_skeleton};
+use crate::solve::{Compiled, ShapeKey, Skeleton, Solve, StateAccess, WorkloadRun};
 use paco_core::arena::ScratchArena;
 use paco_core::matrix::Matrix;
 use paco_core::proc_list::ProcId;
 use paco_core::semiring::IdempotentSemiring;
 use paco_core::tuning::Tuning;
 use paco_dp::lcs::trace::{hirschberg, EditOp};
-use paco_graph::{plan_fw, FwRun};
+use paco_graph::{FwPlan, FwRun};
 use paco_incr::{ClosedGraph, ClosedState, EdgeUpdate, HandleRegistry, UpdateStats};
 use paco_runtime::schedule::{Plan, Step};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// One-step skeleton shared by every constant-shape incremental request:
-/// the work happens inside a single job on processor 0, so requests of this
-/// family batched with real multi-wave workloads ride along in wave 0.
+/// One-step skeleton shared by every constant-shape incremental request
+/// (and by every [`IncUpdate`] that does not re-close at its first
+/// effective update): the work happens inside a single job on processor 0,
+/// so requests of this family batched with real multi-wave workloads ride
+/// along in wave 0.
 fn single_step_skeleton(p: usize) -> Skeleton {
     let plan: Arc<Plan<usize>> =
         Arc::new(Plan::single_wave(p.max(1), vec![Step { proc: 0, job: 0 }]));
@@ -97,11 +109,10 @@ impl<S: IdempotentSemiring> Solve for IncClose<S> {
     fn shape_key(&self) -> ShapeKey {
         // Same kind as `Closure`: the FW schedule is identical, so the two
         // request types share cached skeletons.
-        ShapeKey::new("closure", [self.adj.rows() as u64])
+        closure_key(self.adj.rows())
     }
     fn skeleton(&self, tuning: &Tuning, p: usize) -> Skeleton {
-        let compiled = Arc::new(plan_fw(self.adj.rows(), p.max(1), tuning.fw_base));
-        Skeleton::new(Arc::clone(&compiled), &compiled.plan)
+        fw_skeleton(self.adj.rows(), tuning, p)
     }
     fn bind(
         self,
@@ -126,11 +137,40 @@ impl<S: IdempotentSemiring> Solve for IncClose<S> {
 /// Apply a batch of edge assignments to a [`ClosedGraph`]'s state; resolves
 /// to the batch's exact [`UpdateStats`].
 ///
-/// The batch is applied atomically — one lock acquisition over the whole
-/// slice, in submission order — inside the request's single plan step.
-/// Distinct `IncUpdate` requests for the same handle may interleave in any
-/// order across passes; improving updates over an idempotent semiring
-/// commute, and a worsening update re-closes from scratch, so every
+/// The batch compiles to one of two plans, chosen when it is submitted by
+/// reading the handle's state under its lock:
+///
+/// * **One step.**  Most batches run [`ClosedState::apply_batch`] in a
+///   single plan step on processor 0, under one lock acquisition over the
+///   whole slice, in submission order: dirty-rectangle re-propagation, with
+///   a sequential full re-closure only if the batch turns out to need one
+///   part-way through or its frontier is too dense
+///   ([`Tuning::incr_fallback_percent`]).
+/// * **FW's parallel plan.**  A batch whose first effective update (one
+///   that changes a weight) is not improving or has an unsafe cycle
+///   re-closes in full from that update on
+///   ([`ClosedState::reclose_start`]).  It binds `plan_fw(n, p)`'s
+///   skeleton — the `"closure"` cache entry that [`IncClose`] and
+///   [`Closure`](crate::Closure) share — over the adjacency with the batch
+///   written in, so the re-closure runs on every processor of the pass.
+///   It **commits at finish**: if no other batch reached the state since
+///   submission it installs the closed table as the closure (no copy) and
+///   resolves to the stats `apply_batch` would have returned; otherwise it
+///   discards the table and runs `apply_batch` afresh.  Either way the
+///   state stays exactly the closure of its adjacency.
+///
+/// `shape_key` classifies the batch (one lock, `O(1)` reads); `bind`
+/// classifies again, under the lock, only when handed FW's skeleton, and
+/// drops to the single step if the batch no longer re-closes at once.  A
+/// batch keyed to the single step keeps it even if the state changed in
+/// between: `apply_batch` serves any batch exactly.
+///
+/// Requests on one handle keep their submission order within a pass: the
+/// executor ends a pass before any later request on a handle that a
+/// re-closing update of the pass commits to, and runs that request in the
+/// next pass.  Requests on one handle in *different* passes (e.g. on two
+/// engine shards) may interleave in any order; improving updates over an
+/// idempotent semiring commute, and a worsening update re-closes, so every
 /// interleaving converges to the closure of the final adjacency.
 ///
 /// # Panics
@@ -147,14 +187,39 @@ pub struct IncUpdate<S: IdempotentSemiring> {
     pub registry: Arc<HandleRegistry>,
 }
 
+/// The single-step form: the whole batch inside one step on processor 0.
 struct IncUpdateRun<S: IdempotentSemiring> {
     plan: Arc<Plan<usize>>,
     state: Arc<Mutex<ClosedState<S>>>,
     updates: Vec<EdgeUpdate<S>>,
+    knobs: IncKnobs,
+    result: Mutex<Option<UpdateStats>>,
+}
+
+/// The tuning knobs [`ClosedState::apply_batch`] takes.
+#[derive(Clone, Copy)]
+struct IncKnobs {
     block: usize,
     fallback_percent: usize,
     fw_base: usize,
-    result: Mutex<Option<UpdateStats>>,
+}
+
+impl IncKnobs {
+    fn new(tuning: &Tuning) -> Self {
+        Self {
+            block: tuning.incr_block,
+            fallback_percent: tuning.incr_fallback_percent,
+            fw_base: tuning.fw_base,
+        }
+    }
+
+    fn apply<S: IdempotentSemiring>(
+        self,
+        state: &mut ClosedState<S>,
+        updates: &[EdgeUpdate<S>],
+    ) -> UpdateStats {
+        state.apply_batch(updates, self.block, self.fallback_percent, self.fw_base)
+    }
 }
 
 impl<S: IdempotentSemiring> WorkloadRun for IncUpdateRun<S> {
@@ -164,12 +229,7 @@ impl<S: IdempotentSemiring> WorkloadRun for IncUpdateRun<S> {
         &self.plan
     }
     fn step(&self, _proc: ProcId, _job: &usize) {
-        let stats = self.state.lock().apply_batch(
-            &self.updates,
-            self.block,
-            self.fallback_percent,
-            self.fw_base,
-        );
+        let stats = self.knobs.apply(&mut self.state.lock(), &self.updates);
         *self.result.lock() = Some(stats);
     }
     fn finish(self) -> UpdateStats {
@@ -177,40 +237,137 @@ impl<S: IdempotentSemiring> WorkloadRun for IncUpdateRun<S> {
             .into_inner()
             .expect("IncUpdate step did not run")
     }
+    fn state_access(&self) -> Option<StateAccess> {
+        Some(StateAccess::InSteps(state_address(&self.state)))
+    }
+}
+
+/// The re-closing form: FW's plan over the adjacency with the batch
+/// written in, committed to the state at finish.
+struct IncRecloseRun<S: IdempotentSemiring> {
+    run: FwRun<S>,
+    state: Arc<Mutex<ClosedState<S>>>,
+    updates: Vec<EdgeUpdate<S>>,
+    /// Index of the first update the re-closure absorbs.
+    start: usize,
+    /// The state's version the table was copied at.
+    version: u64,
+    /// What `apply_batch` returns for this batch on that version.
+    stats: UpdateStats,
+    knobs: IncKnobs,
+}
+
+impl<S: IdempotentSemiring> WorkloadRun for IncRecloseRun<S> {
+    type Job = paco_graph::LeafCall;
+    type Out = UpdateStats;
+    fn typed_plan(&self) -> &Plan<Self::Job> {
+        self.run.plan()
+    }
+    fn step(&self, proc: ProcId, job: &Self::Job) {
+        FwRun::step(&self.run, proc, job)
+    }
+    fn finish(self) -> UpdateStats {
+        let closed = self.run.finish();
+        let mut state = self.state.lock();
+        if state.commit(self.version, &self.updates[self.start..], closed) {
+            self.stats
+        } else {
+            // Another batch reached the state after this one was bound.
+            self.knobs.apply(&mut state, &self.updates)
+        }
+    }
+    fn state_access(&self) -> Option<StateAccess> {
+        Some(StateAccess::AtFinish(state_address(&self.state)))
+    }
+}
+
+/// Bind a batch to the single-step skeleton `skeleton`, whose payload is
+/// `plan`.
+fn single_step<S: IdempotentSemiring>(
+    skeleton: &Skeleton,
+    plan: Arc<Plan<usize>>,
+    state: Arc<Mutex<ClosedState<S>>>,
+    updates: Vec<EdgeUpdate<S>>,
+    knobs: IncKnobs,
+) -> Compiled<UpdateStats> {
+    Compiled::bound(
+        skeleton,
+        IncUpdateRun {
+            plan,
+            state,
+            updates,
+            knobs,
+            result: Mutex::new(None),
+        },
+    )
+}
+
+/// A closed-graph state's identity for the executor's pass cut.
+fn state_address<S: IdempotentSemiring>(state: &Arc<Mutex<ClosedState<S>>>) -> usize {
+    Arc::as_ptr(state) as usize
 }
 
 impl<S: IdempotentSemiring> Solve for IncUpdate<S> {
     type Output = UpdateStats;
     fn shape_key(&self) -> ShapeKey {
-        // Every constant-shape incremental request shares one cached
-        // single-step skeleton (same kind, same — empty — dims).
+        // An unknown handle keys the single step, so `bind` panics on the
+        // submitting thread with its usual message.
+        if let Some(state) = self.registry.get(self.handle) {
+            let state = state.lock();
+            if state.reclose_start(&self.updates).is_some() {
+                return closure_key(state.n());
+            }
+        }
         ShapeKey::new("incr-step", [])
     }
-    fn skeleton(&self, _tuning: &Tuning, p: usize) -> Skeleton {
-        single_step_skeleton(p)
+    fn skeleton(&self, tuning: &Tuning, p: usize) -> Skeleton {
+        self.skeleton_for(&self.shape_key(), tuning, p)
+    }
+    fn skeleton_for(&self, key: &ShapeKey, tuning: &Tuning, p: usize) -> Skeleton {
+        match (key.kind(), key.dims()) {
+            ("closure", &[n]) => fw_skeleton(n as usize, tuning, p),
+            _ => single_step_skeleton(p),
+        }
     }
     fn bind(
         self,
         skeleton: &Skeleton,
         tuning: &Tuning,
-        _p: usize,
+        p: usize,
         _arena: &Arc<ScratchArena>,
     ) -> Compiled<UpdateStats> {
-        let plan = skeleton.payload().expect("skeleton compiled by incr-step");
         let state = self
             .registry
             .get(self.handle)
             .expect("IncUpdate on an unknown or dropped ClosedGraph handle");
+        let knobs = IncKnobs::new(tuning);
+        if let Some(plan) = skeleton.payload() {
+            return single_step(skeleton, plan, state, self.updates, knobs);
+        }
+        let compiled: Arc<FwPlan> = skeleton.payload().expect("skeleton compiled by IncUpdate");
+        // Classify again under the lock and take the version the table is
+        // copied at: the state may have changed since `shape_key`.
+        let guard = state.lock();
+        let Some(start) = guard.reclose_start(&self.updates) else {
+            drop(guard);
+            let skeleton = single_step_skeleton(p);
+            let plan = skeleton.payload().expect("single-step skeleton");
+            return single_step(&skeleton, plan, state, self.updates, knobs);
+        };
+        let table = guard.reclose_input(&self.updates[start..]);
+        let version = guard.version();
+        let stats = guard.reclose_stats(self.updates.len(), start, knobs.block);
+        drop(guard);
         Compiled::bound(
             skeleton,
-            IncUpdateRun {
-                plan,
+            IncRecloseRun {
+                run: FwRun::from_owned(table, compiled, tuning.fw_base),
                 state,
                 updates: self.updates,
-                block: tuning.incr_block,
-                fallback_percent: tuning.incr_fallback_percent,
-                fw_base: tuning.fw_base,
-                result: Mutex::new(None),
+                start,
+                version,
+                stats,
+                knobs,
             },
         )
     }

@@ -32,7 +32,7 @@
 //!
 //! For **concurrent ingress** the same executor core is fronted by an
 //! [`Engine`]: `Engine::builder()` spawns one or more executor shards (each
-//! owning its own pinned pool), and [`Engine::client`] hands out
+//! owning its own pool), and [`Engine::client`] hands out
 //! `Clone + Send` [`Client`]s whose [`Client::submit`] can be called from
 //! any thread at any time — the executors gather whatever has arrived under
 //! a [`BatchPolicy`] (batch size cap, gathering window — optionally
@@ -55,7 +55,9 @@
 //! it in a [`HandleRegistry`] as a `Copy` [`ClosedGraph`] handle,
 //! [`IncUpdate`] re-propagates [`EdgeUpdate`] batches through only the
 //! dirty blocks (full re-closure fallback past
-//! [`Tuning::incr_fallback_percent`]), [`IncSnapshot`]/[`IncDrop`] read and
+//! [`Tuning::incr_fallback_percent`]; a batch that must re-close from its
+//! first effective update runs FW's parallel plan and commits at finish),
+//! [`IncSnapshot`]/[`IncDrop`] read and
 //! retire the state, and [`LcsTrace`] recovers an actual [`EditOp`]
 //! alignment script in linear space.  Handle-carrying requests hint their
 //! engine shard via [`Solve::route_hint`], so one graph's updates keep
@@ -118,5 +120,5 @@ pub use paco_incr::{ClosedGraph, ClosedState, EdgeUpdate, HandleRegistry, Update
 pub use policy::{BatchPolicy, Priority, Routing};
 pub use requests::{Apsp, Closure, Gap, HeteroMatMul, Lcs, MatMul, OneD, Sort, Strassen};
 pub use session::{RunStats, Session, SessionBuilder};
-pub use solve::{Compiled, Prepared, ShapeKey, Skeleton, Solve};
+pub use solve::{Compiled, Prepared, ShapeKey, Skeleton, Solve, StateAccess};
 pub use ticket::{Ticket, TicketError};

@@ -127,16 +127,29 @@ impl<S: IdempotentSemiring> WorkloadRun for FwRun<S> {
     }
 }
 
+/// The shape key of an `n`-vertex closure, shared by [`Closure`],
+/// [`IncClose`](crate::IncClose) and a re-closing
+/// [`IncUpdate`](crate::IncUpdate).
+pub(crate) fn closure_key(n: usize) -> ShapeKey {
+    ShapeKey::new("closure", [n as u64])
+}
+
+/// FW's parallel skeleton for `n` vertices; its payload is the
+/// [`FwPlan`](paco_graph::FwPlan).
+pub(crate) fn fw_skeleton(n: usize, tuning: &Tuning, p: usize) -> Skeleton {
+    let compiled = Arc::new(plan_fw(n, p.max(1), tuning.fw_base));
+    Skeleton::new(Arc::clone(&compiled), &compiled.plan)
+}
+
 impl<S: IdempotentSemiring> Solve for Closure<S> {
     type Output = Matrix<S>;
     fn shape_key(&self) -> ShapeKey {
         // The FW schedule is semiring-independent, so closures over
         // different element types deliberately share cache entries.
-        ShapeKey::new("closure", [self.adj.rows() as u64])
+        closure_key(self.adj.rows())
     }
     fn skeleton(&self, tuning: &Tuning, p: usize) -> Skeleton {
-        let compiled = Arc::new(plan_fw(self.adj.rows(), p.max(1), tuning.fw_base));
-        Skeleton::new(Arc::clone(&compiled), &compiled.plan)
+        fw_skeleton(self.adj.rows(), tuning, p)
     }
     fn bind(
         self,

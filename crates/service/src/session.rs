@@ -29,7 +29,7 @@ pub struct RunStats {
     pub pool_barriers: u64,
 }
 
-/// The synchronous front door: owns one pinned
+/// The synchronous front door: owns one
 /// [`WorkerPool`](paco_runtime::WorkerPool) plus a [`Tuning`] config, and
 /// executes every PACO workload through three verbs — [`Session::run`],
 /// [`Session::run_batch`] and [`Session::submit`]/[`Session::flush`].
@@ -75,7 +75,7 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session on `p` pinned processors with environment-derived tuning
+    /// A session on `p` processors with environment-derived tuning
     /// ([`Tuning::from_env`]).
     pub fn new(p: usize) -> Self {
         Self::builder().procs(p).build()
@@ -164,8 +164,8 @@ impl Session {
             Backend::Distributed { ranks } => {
                 let skeleton =
                     self.cache
-                        .get_or_compile(req.shape_key(), ranks, tuning.epoch, || {
-                            req.skeleton(tuning, ranks)
+                        .get_or_compile(req.shape_key(), ranks, tuning.epoch, |key| {
+                            req.skeleton_for(key, tuning, ranks)
                         });
                 match req.bind_dist(&skeleton, tuning, ranks, &self.arena, &self.lower) {
                     Ok(compiled) => return compiled.inner,
@@ -176,7 +176,9 @@ impl Session {
         let p = self.p();
         let skeleton = self
             .cache
-            .get_or_compile(req.shape_key(), p, tuning.epoch, || req.skeleton(tuning, p));
+            .get_or_compile(req.shape_key(), p, tuning.epoch, |key| {
+                req.skeleton_for(key, tuning, p)
+            });
         req.bind(&skeleton, tuning, p, &self.arena).inner
     }
 
@@ -186,7 +188,9 @@ impl Session {
         decode(self.core.run_one(&mut prepared))
     }
 
-    /// Execute a homogeneous batch of requests through **one** pool pass.
+    /// Execute a homogeneous batch of requests through **one** pool pass
+    /// (one more per re-closing [`IncUpdate`](crate::IncUpdate) whose handle
+    /// a later request of the batch touches: see [`Session::flush`]).
     ///
     /// The compiled plans are merged wave-by-wave
     /// ([`Plan::batch`](paco_runtime::schedule::Plan::batch)), so the pass
@@ -196,30 +200,37 @@ impl Session {
     /// requests share one cached skeleton: the batch compiles the plan once
     /// and binds it `N` times.  Outputs come back in request order.
     pub fn run_batch<R: Solve>(&self, reqs: impl IntoIterator<Item = R>) -> Vec<R::Output> {
-        let mut prepared: Vec<_> = reqs.into_iter().map(|r| self.compile_cached(r)).collect();
-        let refs: Vec<&dyn Prepared> = prepared.iter().map(|p| &**p).collect();
-        self.core.execute_merged(&refs);
-        prepared
-            .iter_mut()
-            .map(|p| decode(p.take_output()))
-            .collect()
+        let (mut pending, tickets): (Vec<_>, Vec<_>) = reqs
+            .into_iter()
+            .map(|r| Self::slotted(self.compile_cached(r)))
+            .unzip();
+        if let Err(payload) = self.core.run_pass(&mut pending) {
+            std::panic::resume_unwind(payload);
+        }
+        tickets.iter().map(Ticket::take).collect()
     }
 
     /// Queue a request for the next [`Session::flush`]; the request is
     /// compiled now (under the current tuning, through the plan cache) and
     /// executed later.  Queued submissions may mix workload types freely.
     pub fn submit<R: Solve>(&self, req: R) -> Ticket<R::Output> {
-        let prepared = self.compile_cached(req);
+        let (pending, ticket) = Self::slotted(self.compile_cached(req));
+        self.queue.lock().push(pending);
+        ticket
+    }
+
+    /// Pair a compiled request with the slot its output resolves.  Session
+    /// requests carry default admission metadata: a session pass runs
+    /// everything it is given, so deadlines and priorities (engine
+    /// concepts) never apply here.
+    fn slotted<O: Send + 'static>(prepared: Box<dyn Prepared>) -> (PendingRequest, Ticket<O>) {
         let slot = ticket::new_slot();
-        // Session submissions carry default admission metadata: `flush`
-        // executes everything queued, so deadlines and priorities (engine
-        // concepts) never apply here.
-        self.queue.lock().push(PendingRequest::new(
+        let pending = PendingRequest::new(
             prepared,
             slot.clone(),
             crate::client::SubmitOptions::default(),
-        ));
-        Ticket::new(slot)
+        );
+        (pending, Ticket::new(slot))
     }
 
     /// Number of submissions waiting for a flush.
@@ -230,6 +241,12 @@ impl Session {
     /// Execute every queued submission — a heterogeneous mix compiles to one
     /// merged wave plan — through one pool pass, resolving their
     /// [`Ticket`]s.  Returns the number of requests flushed.
+    ///
+    /// A re-closing [`IncUpdate`](crate::IncUpdate) commits to its handle
+    /// only when its output is taken, after the pass; so the pass ends
+    /// before any later submission on that handle, and the rest of the
+    /// queue runs as the next pass.  Every request sees the effects of the
+    /// ones submitted before it.
     ///
     /// If a workload step panics mid-pass, every request of the pass is
     /// *poisoned* (their shared state may be half-written, so no output can

@@ -55,6 +55,14 @@ impl ShapeKey {
             dims: dims.into_iter().collect(),
         }
     }
+
+    pub(crate) fn kind(&self) -> &'static str {
+        self.kind
+    }
+
+    pub(crate) fn dims(&self) -> &[u64] {
+        &self.dims
+    }
 }
 
 /// A compiled, data-free schedule: the shape-only phase of a request.
@@ -177,6 +185,18 @@ pub trait Solve {
     /// (phase 1 — expensive, cacheable).
     fn skeleton(&self, tuning: &Tuning, p: usize) -> Skeleton;
 
+    /// Compile the skeleton the plan cache files under `key`, which this
+    /// request's [`Solve::shape_key`] just returned.  The default ignores
+    /// `key` and calls [`Solve::skeleton`].  A request whose key reads
+    /// mutable state ([`IncUpdate`](crate::IncUpdate) classifies its batch
+    /// against the handle) builds from `key` instead, so a state change
+    /// between the two calls cannot file a skeleton under a key it does not
+    /// match.
+    fn skeleton_for(&self, key: &ShapeKey, tuning: &Tuning, p: usize) -> Skeleton {
+        let _ = key;
+        self.skeleton(tuning, p)
+    }
+
     /// Bind this request's data to an already-compiled skeleton (phase 2 —
     /// cheap).  `skeleton` must have been produced by [`Solve::skeleton`]
     /// on a request with the same [`Solve::shape_key`] under the same
@@ -259,6 +279,34 @@ pub trait Prepared: Send + Sync {
     /// Extract the output after the skeleton has executed.  Panics if called
     /// twice.
     fn take_output(&mut self) -> Box<dyn Any + Send>;
+
+    /// The closed-graph state this request reads or writes, if any.  The
+    /// executor ends a pass before a request that touches a state another
+    /// request of the pass commits to at finish.  `None`, the default, for
+    /// every stateless request.
+    fn state_access(&self) -> Option<StateAccess> {
+        None
+    }
+}
+
+/// How a compiled request touches a closed-graph state, named by the
+/// address of the state's lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StateAccess {
+    /// Reads or writes the state inside its plan steps.
+    InSteps(usize),
+    /// Writes the state only when its output is taken, after the pass: a
+    /// re-closing [`IncUpdate`](crate::IncUpdate).
+    AtFinish(usize),
+}
+
+impl StateAccess {
+    /// The state's address.
+    pub fn state(self) -> usize {
+        match self {
+            StateAccess::InSteps(state) | StateAccess::AtFinish(state) => state,
+        }
+    }
 }
 
 /// A type-erased compiled request whose output type is still tracked at the
@@ -307,6 +355,9 @@ pub(crate) trait WorkloadRun: Send + Sync + 'static {
     fn typed_plan(&self) -> &Plan<Self::Job>;
     fn step(&self, proc: ProcId, job: &Self::Job);
     fn finish(self) -> Self::Out;
+    fn state_access(&self) -> Option<StateAccess> {
+        None
+    }
 }
 
 /// The generic [`Prepared`] adapter over any [`WorkloadRun`]: the skeleton
@@ -339,6 +390,10 @@ impl<R: WorkloadRun> Prepared for PreparedRun<R> {
                 .expect("request output already taken")
                 .finish(),
         )
+    }
+
+    fn state_access(&self) -> Option<StateAccess> {
+        self.run.as_ref().and_then(R::state_access)
     }
 }
 

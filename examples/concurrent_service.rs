@@ -3,7 +3,7 @@
 //! passes — nobody ever calls `flush`.
 //!
 //! This is the ROADMAP's "concurrent ingress" item end-to-end: an
-//! `Engine` with two executor shards (each owning its own pinned
+//! `Engine` with two executor shards (each owning its own
 //! `WorkerPool`) accepts `Lcs`/`Apsp`/`MatMul`/`Sort`/`Gap` submissions from
 //! four producer threads at once, coalesces whatever arrives inside each
 //! gathering window (`BatchPolicy`) into merged max-of-waves passes, and

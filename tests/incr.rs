@@ -16,6 +16,15 @@
 //!   grid a full re-closure rewrites (summed from the returned
 //!   `UpdateStats`).
 //!
+//! * **re-closing batches on FW's plan** — a batch whose first effective
+//!   update worsens an edge compiles to exactly `plan_fw(n, p)`'s plan, an
+//!   improving one to one step; within one `Session::flush` or one engine
+//!   pass, requests on a handle keep their submission order around a
+//!   re-closure that commits at finish; a re-closure bound before another
+//!   batch reached the state falls back to exact sequential work; and the
+//!   parallel re-closure of non-integer weights is bit-identical to
+//!   `fw_seq`.
+//!
 //! Sizes are drawn from ranges straddling non-powers-of-two, so block
 //! boundaries with ragged tails are always exercised.
 
@@ -23,12 +32,14 @@ use paco_core::matrix::Matrix;
 use paco_core::semiring::{BoolSemiring, Bottleneck, MinPlus, Semiring};
 use paco_core::tuning::{INCR_BLOCK, INCR_FALLBACK_PERCENT};
 use paco_core::workload::{random_adjacency, random_digraph, related_sequences};
-use paco_graph::fw_reference;
+use paco_graph::{fw_reference, fw_seq, plan_fw, FwPlan, LeafCall};
 use paco_service::{
-    ClosedState, EdgeUpdate, IncClose, IncSnapshot, IncUpdate, LcsTrace, Session, UpdateStats,
+    ClosedGraph, ClosedState, EdgeUpdate, Engine, HandleRegistry, IncClose, IncSnapshot, IncUpdate,
+    LcsTrace, Session, Solve, Tuning, UpdateStats,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Drive `state` through `updates` in batches of `batch` and assert the
 /// maintained closure stays `==`-identical to `fw_reference` of a shadow
@@ -262,4 +273,265 @@ fn single_edge_improvements_sweep_under_half_the_grid() {
         totals.incremental,
         totals.full_fallbacks
     );
+}
+
+/// A graph held by a session or an engine, plus the requests on it.
+struct Held {
+    registry: Arc<HandleRegistry>,
+    handle: ClosedGraph<MinPlus>,
+}
+
+impl Held {
+    fn update(&self, updates: Vec<EdgeUpdate<MinPlus>>) -> IncUpdate<MinPlus> {
+        IncUpdate {
+            handle: self.handle,
+            updates,
+            registry: Arc::clone(&self.registry),
+        }
+    }
+
+    fn snapshot(&self) -> IncSnapshot<MinPlus> {
+        IncSnapshot {
+            handle: self.handle,
+            registry: Arc::clone(&self.registry),
+        }
+    }
+}
+
+fn held_by(session: &Session, adj: &Matrix<MinPlus>) -> Held {
+    let registry = session.registry();
+    let handle = session.run(IncClose {
+        adj: adj.clone(),
+        registry: Arc::clone(&registry),
+    });
+    Held { registry, handle }
+}
+
+/// The first finite off-diagonal edge of `adj`, row-major.
+fn finite_edge(adj: &Matrix<MinPlus>) -> (usize, usize) {
+    let n = adj.rows();
+    (0..n * n)
+        .map(|c| (c / n, c % n))
+        .find(|&(u, v)| u != v && adj[(u, v)].0.is_finite())
+        .expect("a finite edge")
+}
+
+/// A batch whose first update raises a finite edge: it re-closes in full.
+fn worsening_batch(adj: &Matrix<MinPlus>) -> Vec<EdgeUpdate<MinPlus>> {
+    let (u, v) = finite_edge(adj);
+    vec![
+        EdgeUpdate::new(u, v, MinPlus(adj[(u, v)].0 + 7.5)),
+        EdgeUpdate::new(2, 5, MinPlus(1.0)),
+    ]
+}
+
+/// Expected outputs: `batches` applied in order by `ClosedState::apply_batch`.
+fn apply_in_order(
+    adj: &Matrix<MinPlus>,
+    tuning: &Tuning,
+    batches: &[&[EdgeUpdate<MinPlus>]],
+) -> (ClosedState<MinPlus>, Vec<UpdateStats>) {
+    let mut state = ClosedState::close(adj.clone(), tuning.fw_base);
+    let stats = batches
+        .iter()
+        .map(|b| {
+            state.apply_batch(
+                b,
+                tuning.incr_block,
+                tuning.incr_fallback_percent,
+                tuning.fw_base,
+            )
+        })
+        .collect();
+    (state, stats)
+}
+
+/// A re-closing batch compiles to exactly FW's plan — same waves, steps and
+/// plan efficiency — and runs it; an improving batch compiles to one step.
+#[test]
+fn a_reclosing_batch_runs_exactly_fws_plan() {
+    let adj = random_digraph(97, 0.1, 40, 3);
+    for p in [1, 2, 3, 5] {
+        let session = Session::new(p);
+        let held = held_by(&session, &adj);
+        let base = session.tuning().fw_base;
+        let fw = plan_fw(97, p, base);
+        let fw_eff = fw.plan.profile(None, LeafCall::cost).eff();
+
+        let reclose = held.update(worsening_batch(&adj));
+        let skeleton = reclose.skeleton(session.tuning(), p);
+        let compiled: Arc<FwPlan> = skeleton.payload().expect("FW's skeleton");
+        assert_eq!(skeleton.waves(), fw.plan.waves().len(), "p = {p}");
+        assert_eq!(skeleton.steps(), fw.plan.steps(), "p = {p}");
+        assert_eq!(compiled.plan.profile(None, LeafCall::cost).eff(), fw_eff);
+
+        let before = session.cache_stats();
+        session.run(reclose);
+        let ran = session.last_stats();
+        assert_eq!(ran.plan_waves, fw.plan.waves().len() as u64, "p = {p}");
+        assert_eq!(ran.plan_steps, fw.plan.steps() as u64, "p = {p}");
+        // The re-closure shares the `"closure"` entry `IncClose` compiled.
+        assert_eq!(session.cache_stats().hits, before.hits + 1);
+
+        let improving = held.update(vec![EdgeUpdate::new(4, 90, MinPlus(1.0))]);
+        assert_eq!(improving.skeleton(session.tuning(), p).steps(), 1);
+        session.run(improving);
+        assert_eq!(session.last_stats().plan_steps, 1, "p = {p}");
+    }
+}
+
+/// The adjacency and the two batches of the same-pass ordering tests: a
+/// re-closure that raises edge `(u, v)`, then an improvement of that same
+/// edge.  Applied in the other order, the final weight of `(u, v)` differs.
+fn same_pass_case() -> (
+    Matrix<MinPlus>,
+    Vec<EdgeUpdate<MinPlus>>,
+    Vec<EdgeUpdate<MinPlus>>,
+) {
+    let adj = random_digraph(61, 0.12, 30, 29);
+    let (u, v) = finite_edge(&adj);
+    let reclose = worsening_batch(&adj);
+    let improving = vec![EdgeUpdate::new(u, v, MinPlus(1.0))];
+    (adj, reclose, improving)
+}
+
+/// Check a run of [re-closing update, improving update, snapshot] against
+/// the two batches applied in submission order.
+fn check_same_pass(
+    adj: &Matrix<MinPlus>,
+    tuning: &Tuning,
+    batches: [&[EdgeUpdate<MinPlus>]; 2],
+    got: [UpdateStats; 2],
+    snapshot: Matrix<MinPlus>,
+) {
+    let (state, expect) = apply_in_order(adj, tuning, &batches);
+    assert_eq!(got.to_vec(), expect);
+    assert_eq!(expect[0].full_fallbacks, 1, "the first batch re-closes");
+    let mut shadow = adj.clone();
+    for up in batches.concat() {
+        shadow[(up.from, up.to)] = up.weight;
+    }
+    assert_eq!(state.adjacency(), &shadow);
+    assert_eq!(snapshot, fw_reference(&shadow));
+}
+
+#[test]
+fn same_pass_order_holds_in_a_session_flush() {
+    let (adj, reclose, improving) = same_pass_case();
+    let session = Session::new(2);
+    let held = held_by(&session, &adj);
+    let t1 = session.submit(held.update(reclose.clone()));
+    let t2 = session.submit(held.update(improving.clone()));
+    let t3 = session.submit(held.snapshot());
+    assert_eq!(session.flush(), 3);
+    check_same_pass(
+        &adj,
+        session.tuning(),
+        [&reclose, &improving],
+        [t1.take(), t2.take()],
+        t3.take(),
+    );
+}
+
+#[test]
+fn same_pass_order_holds_in_an_engine_pass() {
+    let (adj, reclose, improving) = same_pass_case();
+    let engine = Engine::builder().procs(2).build();
+    let client = engine.client();
+    let registry = engine.registry();
+    let close = |adj: &Matrix<MinPlus>| {
+        let handle = client
+            .submit(IncClose {
+                adj: adj.clone(),
+                registry: Arc::clone(&registry),
+            })
+            .wait()
+            .expect("close resolves");
+        Held {
+            registry: Arc::clone(&registry),
+            handle,
+        }
+    };
+    let held = close(&adj);
+    // Park the executor mid-pass: a snapshot of a second graph whose lock
+    // this thread holds.
+    let gate = close(&random_digraph(8, 0.3, 5, 1));
+    let state = registry.get(gate.handle).expect("live handle");
+    let lock = state.lock();
+    let passes = engine.stats().passes();
+    let parked = client.submit(gate.snapshot());
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while engine.stats().passes() == passes {
+        assert!(Instant::now() < deadline, "the gate pass never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let t1 = client.submit(held.update(reclose.clone()));
+    let t2 = client.submit(held.update(improving.clone()));
+    let t3 = client.submit(held.snapshot());
+    drop(lock);
+    parked.wait().expect("gate resolves");
+    let got = [
+        t1.wait().expect("re-closing update"),
+        t2.wait().expect("improving update"),
+    ];
+    let snapshot = t3.wait().expect("snapshot");
+    // The three queued behind the gate and were drained as one batch.
+    assert_eq!(engine.stats().passes(), passes + 2);
+    check_same_pass(&adj, engine.tuning(), [&reclose, &improving], got, snapshot);
+}
+
+/// A re-closing update bound before another batch reached the state
+/// discards its table at finish and applies its batch afresh: the state
+/// stays exact and the stats are those of the batches in execution order.
+#[test]
+fn a_stale_reclosure_applies_its_batch_afresh() {
+    let adj = random_digraph(53, 0.15, 30, 31);
+    let session = Session::new(2);
+    let held = held_by(&session, &adj);
+    let reclose = worsening_batch(&adj);
+    let ticket = session.submit(held.update(reclose.clone()));
+    let meanwhile = vec![EdgeUpdate::new(7, 40, MinPlus(1.0))];
+    let first = session.run(held.update(meanwhile.clone()));
+    session.flush();
+
+    let tuning = session.tuning();
+    let (state, expect) = apply_in_order(&adj, tuning, &[&meanwhile, &reclose]);
+    assert_eq!(vec![first, ticket.take()], expect);
+    let snapshot = session.run(held.snapshot());
+    assert_eq!(&snapshot, state.closed());
+    assert_eq!(snapshot, fw_seq(state.adjacency(), tuning.fw_base));
+}
+
+/// Non-integer weights make the closure depend on the order of each
+/// cell's relaxations: the re-closure on FW's parallel plan must still
+/// equal `fw_seq` bit for bit, at every processor count.
+#[test]
+fn a_worsening_first_batch_on_fractional_weights_matches_fw_seq() {
+    let integral = random_digraph(83, 0.12, 60, 37);
+    let adj = Matrix::from_fn(83, 83, |i, j| {
+        let w = integral[(i, j)].0;
+        MinPlus(if i == j || !w.is_finite() {
+            w
+        } else {
+            w * 0.37 + 0.013 * (i + 2 * j) as f64
+        })
+    });
+    for p in [1, 2, 3] {
+        let session = Session::new(p);
+        let base = session.tuning().fw_base;
+        let held = held_by(&session, &adj);
+        let batch = worsening_batch(&adj);
+        let stats = session.run(held.update(batch.clone()));
+        assert_eq!(
+            session.last_stats().plan_steps,
+            plan_fw(83, p, base).plan.steps() as u64
+        );
+
+        let (state, expect) = apply_in_order(&adj, session.tuning(), &[&batch]);
+        assert_eq!(stats, expect[0]);
+        let snapshot = session.run(held.snapshot());
+        assert_eq!(snapshot, fw_seq(state.adjacency(), base), "p = {p}");
+        assert_eq!(&snapshot, state.closed());
+    }
 }
