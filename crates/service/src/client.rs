@@ -174,9 +174,9 @@ impl Client {
             return Ticket::new(slot);
         }
         let shard = self.shared.route_for(req.route_hint());
-        let prepared = self.shared.compile_on(shard, req);
+        let compiled = self.shared.compile_on(shard, req);
         self.shared
-            .enqueue_blocking(shard, PendingRequest::new(prepared, slot.clone(), opts));
+            .enqueue_blocking(shard, PendingRequest::new(compiled, slot.clone(), opts));
         Ticket::new(slot)
     }
 
@@ -214,9 +214,9 @@ impl Client {
                     self.shared.reject(&slot);
                     return Ticket::new(slot);
                 }
-                let prepared = self.shared.compile_on(shard, req);
+                let compiled = self.shared.compile_on(shard, req);
                 self.shared
-                    .enqueue_blocking(shard, PendingRequest::new(prepared, slot.clone(), opts));
+                    .enqueue_blocking(shard, PendingRequest::new(compiled, slot.clone(), opts));
                 Ticket::new(slot)
             })
             .collect()
@@ -249,10 +249,10 @@ impl Client {
             return Ok(Ticket::new(slot));
         }
         let shard = self.shared.route_for(req.route_hint());
-        let prepared = self.shared.compile_on(shard, req);
+        let compiled = self.shared.compile_on(shard, req);
         if self
             .shared
-            .try_enqueue(shard, PendingRequest::new(prepared, slot.clone(), opts))
+            .try_enqueue(shard, PendingRequest::new(compiled, slot.clone(), opts))
         {
             Ok(Ticket::new(slot))
         } else {

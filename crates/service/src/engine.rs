@@ -35,7 +35,7 @@ use crate::cache::{PlanCacheStats, SkeletonCache};
 use crate::client::Client;
 use crate::exec::{PassCore, PendingRequest};
 use crate::policy::{BatchPolicy, Priority, Routing};
-use crate::solve::{Prepared, Solve};
+use crate::solve::{Compiled, Solve};
 use crate::ticket::{self, SlotState};
 use paco_core::arena::{ArenaStats, ScratchArena};
 use paco_core::machine::available_processors;
@@ -218,7 +218,7 @@ impl EngineShared {
     /// then comes off the cache too, via
     /// [`Skeleton::steps`](crate::Skeleton::steps), instead of a fresh
     /// compile).  Runs on the producer's thread: executors never compile.
-    pub(crate) fn compile_on<R: Solve>(&self, shard: usize, req: R) -> Box<dyn Prepared> {
+    pub(crate) fn compile_on<R: Solve>(&self, shard: usize, req: R) -> Compiled<R::Output> {
         let req = match self.backend {
             Backend::Local => req,
             Backend::Distributed { ranks } => {
@@ -235,7 +235,7 @@ impl EngineShared {
                     &self.arenas[shard],
                     &self.lower,
                 ) {
-                    Ok(compiled) => return compiled.inner,
+                    Ok(compiled) => return compiled,
                     // No distributed binding for this request: fall back to
                     // a local skeleton (cached separately — the processor
                     // counts differ).
@@ -248,7 +248,6 @@ impl EngineShared {
                 req.skeleton_for(key, &self.tuning, self.p)
             });
         req.bind(&skeleton, &self.tuning, self.p, &self.arenas[shard])
-            .inner
     }
 
     pub(crate) fn registry(&self) -> Arc<HandleRegistry> {
@@ -893,6 +892,7 @@ fn executor_loop(shard_id: usize, core: PassCore, shared: Arc<EngineShared>) {
 mod tests {
     use super::*;
     use crate::client::SubmitOptions;
+    use crate::solve::Prepared;
     use paco_runtime::schedule::{Plan, Step};
     use proptest::prelude::*;
     use std::any::Any;
@@ -959,10 +959,10 @@ mod tests {
             deadline: expired.then(|| Instant::now() - Duration::from_millis(1)),
         };
         PendingRequest::new(
-            Box::new(Tagged {
+            Compiled::<usize>::from_prepared(Box::new(Tagged {
                 id,
                 skeleton: Plan::single_wave(1, vec![Step { proc: 0, job: 0 }]),
-            }),
+            })),
             ticket::new_slot(),
             opts,
         )

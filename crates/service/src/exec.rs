@@ -13,7 +13,7 @@
 use crate::client::SubmitOptions;
 use crate::policy::Priority;
 use crate::session::RunStats;
-use crate::solve::{Prepared, StateAccess};
+use crate::solve::{Compiled, Prepared, StateAccess};
 use crate::ticket::{self, Slot, SlotState};
 use paco_core::metrics::sched;
 use paco_core::tuning::Tuning;
@@ -29,6 +29,8 @@ use std::time::Instant;
 /// the latency gauges).
 pub(crate) struct PendingRequest {
     pub(crate) prepared: Box<dyn Prepared>,
+    /// The closed-graph state the request touches, for the pass cut.
+    access: Option<StateAccess>,
     pub(crate) slot: Slot,
     pub(crate) priority: Priority,
     pub(crate) deadline: Option<Instant>,
@@ -36,9 +38,10 @@ pub(crate) struct PendingRequest {
 }
 
 impl PendingRequest {
-    pub(crate) fn new(prepared: Box<dyn Prepared>, slot: Slot, opts: SubmitOptions) -> Self {
+    pub(crate) fn new<O>(compiled: Compiled<O>, slot: Slot, opts: SubmitOptions) -> Self {
         Self {
-            prepared,
+            prepared: compiled.inner,
+            access: compiled.access,
             slot,
             priority: opts.priority,
             deadline: opts.deadline,
@@ -129,7 +132,8 @@ impl PassCore {
     /// that touches a closed-graph state another request of the pass
     /// commits to at finish ([`StateAccess::AtFinish`]), and the rest runs
     /// as the next pass.  Outputs are taken (and re-closures committed)
-    /// after each pass, so every request sees its predecessors' effects.
+    /// after each pass, so every request that records its state sees the
+    /// effects of the requests on that state before it.
     ///
     /// On success each slot becomes [`SlotState::Done`] and the request
     /// count is returned.  If any step panics, every slot of that pass and
@@ -149,9 +153,10 @@ impl PassCore {
             while start < pending.len() {
                 let rest = &mut pending[start..];
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let prepared: Vec<&dyn Prepared> = rest.iter().map(|p| &*p.prepared).collect();
-                    let len = pass_len(&prepared);
-                    self.execute_merged(&prepared[..len]);
+                    let len = pass_len(rest);
+                    let prepared: Vec<&dyn Prepared> =
+                        rest[..len].iter().map(|p| &*p.prepared).collect();
+                    self.execute_merged(&prepared);
                     len
                 }));
                 let len = match outcome {
@@ -189,18 +194,18 @@ impl PassCore {
     }
 }
 
-/// How many requests from the front of `prepared` may share one pass: all
+/// How many requests from the front of `pending` may share one pass: all
 /// of them, unless one touches a state that an earlier request of the
 /// prefix commits to at finish.  Allocates nothing, and reads each request
 /// once, when no request commits at finish.
-fn pass_len(prepared: &[&dyn Prepared]) -> usize {
+fn pass_len(pending: &[PendingRequest]) -> usize {
     let mut committing: Vec<usize> = Vec::new();
-    for (i, p) in prepared.iter().enumerate() {
-        match p.state_access() {
+    for (i, p) in pending.iter().enumerate() {
+        match p.access {
             Some(access) if committing.contains(&access.state()) => return i,
             Some(StateAccess::AtFinish(state)) => committing.push(state),
             _ => {}
         }
     }
-    prepared.len()
+    pending.len()
 }

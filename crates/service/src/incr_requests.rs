@@ -410,6 +410,9 @@ impl<S: IdempotentSemiring> WorkloadRun for IncSnapshotRun<S> {
             .into_inner()
             .expect("IncSnapshot step did not run")
     }
+    fn state_access(&self) -> Option<StateAccess> {
+        Some(StateAccess::InSteps(state_address(&self.state)))
+    }
 }
 
 impl<S: IdempotentSemiring> Solve for IncSnapshot<S> {
@@ -461,6 +464,8 @@ struct IncDropRun {
     plan: Arc<Plan<usize>>,
     registry: Arc<HandleRegistry>,
     id: u64,
+    /// The state's address at bind; `None` if the handle was already gone.
+    state: Option<usize>,
     result: Mutex<Option<bool>>,
 }
 
@@ -475,6 +480,9 @@ impl WorkloadRun for IncDropRun {
     }
     fn finish(self) -> bool {
         self.result.into_inner().expect("IncDrop step did not run")
+    }
+    fn state_access(&self) -> Option<StateAccess> {
+        self.state.map(StateAccess::InSteps)
     }
 }
 
@@ -494,12 +502,17 @@ impl<S: IdempotentSemiring> Solve for IncDrop<S> {
         _arena: &Arc<ScratchArena>,
     ) -> Compiled<bool> {
         let plan = skeleton.payload().expect("skeleton compiled by incr-step");
+        let state = self
+            .registry
+            .get::<S>(self.handle)
+            .map(|state| state_address(&state));
         Compiled::bound(
             skeleton,
             IncDropRun {
                 plan,
                 registry: self.registry,
                 id: self.handle.id(),
+                state,
                 result: Mutex::new(None),
             },
         )

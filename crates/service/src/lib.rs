@@ -120,5 +120,5 @@ pub use paco_incr::{ClosedGraph, ClosedState, EdgeUpdate, HandleRegistry, Update
 pub use policy::{BatchPolicy, Priority, Routing};
 pub use requests::{Apsp, Closure, Gap, HeteroMatMul, Lcs, MatMul, OneD, Sort, Strassen};
 pub use session::{RunStats, Session, SessionBuilder};
-pub use solve::{Compiled, Prepared, ShapeKey, Skeleton, Solve, StateAccess};
+pub use solve::{Compiled, Prepared, ShapeKey, Skeleton, Solve};
 pub use ticket::{Ticket, TicketError};

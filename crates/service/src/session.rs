@@ -3,7 +3,7 @@
 use crate::backend::Backend;
 use crate::cache::{PlanCacheStats, SkeletonCache};
 use crate::exec::{PassCore, PendingRequest};
-use crate::solve::{Prepared, Solve};
+use crate::solve::{Compiled, Solve};
 use crate::ticket::{self, decode, Ticket};
 use paco_core::arena::{ArenaStats, ScratchArena};
 use paco_core::machine::available_processors;
@@ -157,7 +157,7 @@ impl Session {
     /// processors and bound through [`Solve::bind_dist`]; requests without
     /// a distributed binding fall back to a local skeleton and bind (the
     /// cache keys the two by their differing processor counts).
-    fn compile_cached<R: Solve>(&self, req: R) -> Box<dyn Prepared> {
+    fn compile_cached<R: Solve>(&self, req: R) -> Compiled<R::Output> {
         let tuning = self.core.tuning();
         let req = match self.backend {
             Backend::Local => req,
@@ -168,7 +168,7 @@ impl Session {
                             req.skeleton_for(key, tuning, ranks)
                         });
                 match req.bind_dist(&skeleton, tuning, ranks, &self.arena, &self.lower) {
-                    Ok(compiled) => return compiled.inner,
+                    Ok(compiled) => return compiled,
                     Err(req) => req,
                 }
             }
@@ -179,13 +179,13 @@ impl Session {
             .get_or_compile(req.shape_key(), p, tuning.epoch, |key| {
                 req.skeleton_for(key, tuning, p)
             });
-        req.bind(&skeleton, tuning, p, &self.arena).inner
+        req.bind(&skeleton, tuning, p, &self.arena)
     }
 
     /// Execute one request and return its output.
     pub fn run<R: Solve>(&self, req: R) -> R::Output {
-        let mut prepared = self.compile_cached(req);
-        decode(self.core.run_one(&mut prepared))
+        let mut compiled = self.compile_cached(req);
+        decode(self.core.run_one(&mut compiled.inner))
     }
 
     /// Execute a homogeneous batch of requests through **one** pool pass
@@ -223,10 +223,10 @@ impl Session {
     /// requests carry default admission metadata: a session pass runs
     /// everything it is given, so deadlines and priorities (engine
     /// concepts) never apply here.
-    fn slotted<O: Send + 'static>(prepared: Box<dyn Prepared>) -> (PendingRequest, Ticket<O>) {
+    fn slotted<O: Send + 'static>(compiled: Compiled<O>) -> (PendingRequest, Ticket<O>) {
         let slot = ticket::new_slot();
         let pending = PendingRequest::new(
-            prepared,
+            compiled,
             slot.clone(),
             crate::client::SubmitOptions::default(),
         );
@@ -244,9 +244,9 @@ impl Session {
     ///
     /// A re-closing [`IncUpdate`](crate::IncUpdate) commits to its handle
     /// only when its output is taken, after the pass; so the pass ends
-    /// before any later submission on that handle, and the rest of the
-    /// queue runs as the next pass.  Every request sees the effects of the
-    /// ones submitted before it.
+    /// before any later update, snapshot or drop of that handle, and the
+    /// rest of the queue runs as the next pass.  Each of them sees the
+    /// effects of the requests on its handle submitted before it.
     ///
     /// If a workload step panics mid-pass, every request of the pass is
     /// *poisoned* (their shared state may be half-written, so no output can

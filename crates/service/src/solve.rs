@@ -279,20 +279,13 @@ pub trait Prepared: Send + Sync {
     /// Extract the output after the skeleton has executed.  Panics if called
     /// twice.
     fn take_output(&mut self) -> Box<dyn Any + Send>;
-
-    /// The closed-graph state this request reads or writes, if any.  The
-    /// executor ends a pass before a request that touches a state another
-    /// request of the pass commits to at finish.  `None`, the default, for
-    /// every stateless request.
-    fn state_access(&self) -> Option<StateAccess> {
-        None
-    }
 }
 
 /// How a compiled request touches a closed-graph state, named by the
-/// address of the state's lock.
+/// address of the state's lock.  The executor ends a pass before a request
+/// that touches a state another request of the pass commits to at finish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StateAccess {
+pub(crate) enum StateAccess {
     /// Reads or writes the state inside its plan steps.
     InSteps(usize),
     /// Writes the state only when its output is taken, after the pass: a
@@ -302,7 +295,7 @@ pub enum StateAccess {
 
 impl StateAccess {
     /// The state's address.
-    pub fn state(self) -> usize {
+    pub(crate) fn state(self) -> usize {
         match self {
             StateAccess::InSteps(state) | StateAccess::AtFinish(state) => state,
         }
@@ -314,6 +307,8 @@ impl StateAccess {
 /// in-crate constructor requires a run whose `finish` really returns `O`.
 pub struct Compiled<O> {
     pub(crate) inner: Box<dyn Prepared>,
+    /// The closed-graph state the request touches, read once at bind.
+    pub(crate) access: Option<StateAccess>,
     _out: PhantomData<fn() -> O>,
 }
 
@@ -321,11 +316,15 @@ impl<O: Send + 'static> Compiled<O> {
     /// Bind a workload run to its skeleton; the `Out = O` bound is the
     /// compile-time tie between the request's output type and the run's.
     pub(crate) fn bound<R: WorkloadRun<Out = O>>(skeleton: &Skeleton, run: R) -> Self {
-        Self::from_prepared(Box::new(PreparedRun {
-            skeleton: Arc::clone(&skeleton.index),
-            index: Arc::clone(&skeleton.lookup),
-            run: Some(run),
-        }))
+        let access = run.state_access();
+        Self {
+            access,
+            ..Self::from_prepared(Box::new(PreparedRun {
+                skeleton: Arc::clone(&skeleton.index),
+                index: Arc::clone(&skeleton.lookup),
+                run: Some(run),
+            }))
+        }
     }
 
     /// Wrap an already-erased prepared request.
@@ -337,6 +336,7 @@ impl<O: Send + 'static> Compiled<O> {
     pub fn from_prepared(inner: Box<dyn Prepared>) -> Self {
         Self {
             inner,
+            access: None,
             _out: PhantomData,
         }
     }
@@ -355,6 +355,8 @@ pub(crate) trait WorkloadRun: Send + Sync + 'static {
     fn typed_plan(&self) -> &Plan<Self::Job>;
     fn step(&self, proc: ProcId, job: &Self::Job);
     fn finish(self) -> Self::Out;
+    /// The closed-graph state the run touches; `None` for every stateless
+    /// workload.
     fn state_access(&self) -> Option<StateAccess> {
         None
     }
@@ -390,10 +392,6 @@ impl<R: WorkloadRun> Prepared for PreparedRun<R> {
                 .expect("request output already taken")
                 .finish(),
         )
-    }
-
-    fn state_access(&self) -> Option<StateAccess> {
-        self.run.as_ref().and_then(R::state_access)
     }
 }
 

@@ -415,15 +415,47 @@ fn check_same_pass(
     assert_eq!(snapshot, fw_reference(&shadow));
 }
 
+/// A second graph for the same-pass tests, whose re-closing update is
+/// followed directly by a snapshot: no improving update between them to
+/// end the pass on its own.
+fn reclose_then_snapshot_case() -> (Matrix<MinPlus>, Vec<EdgeUpdate<MinPlus>>) {
+    let adj = random_digraph(40, 0.15, 30, 43);
+    let reclose = worsening_batch(&adj);
+    (adj, reclose)
+}
+
+/// Check a run of [re-closing update, snapshot] against the batch applied
+/// before the snapshot.
+fn check_reclose_then_snapshot(
+    adj: &Matrix<MinPlus>,
+    tuning: &Tuning,
+    batch: &[EdgeUpdate<MinPlus>],
+    got: UpdateStats,
+    snapshot: Matrix<MinPlus>,
+) {
+    let (_, expect) = apply_in_order(adj, tuning, &[batch]);
+    assert_eq!(got, expect[0]);
+    assert_eq!(expect[0].full_fallbacks, 1, "the batch re-closes");
+    let mut shadow = adj.clone();
+    for up in batch {
+        shadow[(up.from, up.to)] = up.weight;
+    }
+    assert_eq!(snapshot, fw_reference(&shadow));
+}
+
 #[test]
 fn same_pass_order_holds_in_a_session_flush() {
     let (adj, reclose, improving) = same_pass_case();
+    let (adj2, reclose2) = reclose_then_snapshot_case();
     let session = Session::new(2);
     let held = held_by(&session, &adj);
+    let held2 = held_by(&session, &adj2);
     let t1 = session.submit(held.update(reclose.clone()));
     let t2 = session.submit(held.update(improving.clone()));
     let t3 = session.submit(held.snapshot());
-    assert_eq!(session.flush(), 3);
+    let t4 = session.submit(held2.update(reclose2.clone()));
+    let t5 = session.submit(held2.snapshot());
+    assert_eq!(session.flush(), 5);
     check_same_pass(
         &adj,
         session.tuning(),
@@ -431,6 +463,7 @@ fn same_pass_order_holds_in_a_session_flush() {
         [t1.take(), t2.take()],
         t3.take(),
     );
+    check_reclose_then_snapshot(&adj2, session.tuning(), &reclose2, t4.take(), t5.take());
 }
 
 #[test]
@@ -453,6 +486,8 @@ fn same_pass_order_holds_in_an_engine_pass() {
         }
     };
     let held = close(&adj);
+    let (adj2, reclose2) = reclose_then_snapshot_case();
+    let held2 = close(&adj2);
     // Park the executor mid-pass: a snapshot of a second graph whose lock
     // this thread holds.
     let gate = close(&random_digraph(8, 0.3, 5, 1));
@@ -469,6 +504,8 @@ fn same_pass_order_holds_in_an_engine_pass() {
     let t1 = client.submit(held.update(reclose.clone()));
     let t2 = client.submit(held.update(improving.clone()));
     let t3 = client.submit(held.snapshot());
+    let t4 = client.submit(held2.update(reclose2.clone()));
+    let t5 = client.submit(held2.snapshot());
     drop(lock);
     parked.wait().expect("gate resolves");
     let got = [
@@ -476,9 +513,12 @@ fn same_pass_order_holds_in_an_engine_pass() {
         t2.wait().expect("improving update"),
     ];
     let snapshot = t3.wait().expect("snapshot");
-    // The three queued behind the gate and were drained as one batch.
+    let got2 = t4.wait().expect("second re-closing update");
+    let snapshot2 = t5.wait().expect("second snapshot");
+    // The five queued behind the gate and were drained as one batch.
     assert_eq!(engine.stats().passes(), passes + 2);
     check_same_pass(&adj, engine.tuning(), [&reclose, &improving], got, snapshot);
+    check_reclose_then_snapshot(&adj2, engine.tuning(), &reclose2, got2, snapshot2);
 }
 
 /// A re-closing update bound before another batch reached the state
