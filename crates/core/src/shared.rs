@@ -8,7 +8,8 @@
 //! writes plus reads of already-finished neighbours", so this module provides
 //! two small pointer wrappers with explicitly documented safety contracts:
 //!
-//! * [`SharedGrid`] — a 2D table of `Copy` cells.
+//! * [`SharedGrid`] — a 2D table of `Copy` cells, row-major with a row
+//!   stride of at least its column count (see [`SharedGrid::stride`]).
 //! * [`SharedSlice`] — a 1D array of `Copy` cells.
 //!
 //! # Safety contract
@@ -24,6 +25,12 @@
 //!    scope or rayon join), which also provides the necessary happens-before
 //!    edge;
 //! 3. no cell is read and written concurrently.
+//!
+//! A grid's rows may be padded: row `i` starts `i · stride` cells into the
+//! storage, and `stride ≥ cols`.  A row slice or window built over
+//! [`SharedGrid::cell_ptr`] must therefore use [`SharedGrid::stride`] as its
+//! leading dimension, never `cols`; the padding cells are in no task's
+//! region and no access may touch them.
 //!
 //! This mirrors the paper's observation (Sect. II) that all algorithms
 //! considered are free of data races, so no cache-coherence modelling is
@@ -55,10 +62,16 @@ fn unwrap_cells<T>(v: Vec<UnsafeCell<T>>) -> Vec<T> {
 
 /// A 2D grid of `Copy` cells that can be shared across worker threads under the
 /// wavefront discipline documented at the module level.
+///
+/// Row `i` starts at cell `i · stride` of the storage.  The stride equals
+/// `cols` unless the grid was built by [`SharedGrid::from_vec_strided`];
+/// the `stride − cols` padding cells that end each row then belong to no
+/// cell of the grid and are never read through it.
 pub struct SharedGrid<T> {
     cells: Vec<UnsafeCell<T>>,
     rows: usize,
     cols: usize,
+    stride: usize,
 }
 
 // SAFETY: see the module-level safety contract; the grid itself adds no
@@ -81,18 +94,43 @@ impl<T: Copy> SharedGrid<T> {
     ///
     /// If `v.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, v: Vec<T>) -> Self {
-        assert_eq!(v.len(), rows * cols, "SharedGrid::from_vec shape mismatch");
+        Self::from_vec_strided(rows, cols, cols, v)
+    }
+
+    /// A `rows × cols` grid over a vector whose row `i` starts at
+    /// `i · stride`; no copy is made.  The last `stride − cols` cells of
+    /// each row are padding.
+    ///
+    /// # Panics
+    ///
+    /// If `stride < cols` or `v.len() != rows * stride`.
+    pub fn from_vec_strided(rows: usize, cols: usize, stride: usize, v: Vec<T>) -> Self {
+        assert!(stride >= cols, "SharedGrid stride below its column count");
+        assert_eq!(v.len(), rows * stride, "SharedGrid shape mismatch");
         Self {
             cells: wrap_cells(v),
             rows,
             cols,
+            stride,
         }
     }
 
-    /// Consume the grid, returning its row-major storage without copying —
-    /// how run state returns grid buffers to the arena after a pass.
+    /// Consume the grid, returning its cells row-major with no padding, in
+    /// the grid's own allocation: a padded grid moves its rows down over
+    /// the padding and truncates, so no second buffer is allocated — how
+    /// run state returns grid buffers to the arena after a pass.
     pub fn into_vec(self) -> Vec<T> {
-        unwrap_cells(self.cells)
+        let (rows, cols, stride) = (self.rows, self.cols, self.stride);
+        let mut v = unwrap_cells(self.cells);
+        if stride != cols {
+            // Front to back: row `i` moves to `i · cols ≤ i · stride`, over
+            // cells of rows already moved or of padding.
+            for i in 1..rows {
+                v.copy_within(i * stride..i * stride + cols, i * cols);
+            }
+            v.truncate(rows * cols);
+        }
+        v
     }
 
     /// A `rows × cols` grid initialised from a generator function `f(i, j)`.
@@ -103,7 +141,12 @@ impl<T: Copy> SharedGrid<T> {
                 cells.push(UnsafeCell::new(f(i, j)));
             }
         }
-        Self { cells, rows, cols }
+        Self {
+            cells,
+            rows,
+            cols,
+            stride: cols,
+        }
     }
 
     /// Number of rows.
@@ -118,6 +161,14 @@ impl<T: Copy> SharedGrid<T> {
         self.cols
     }
 
+    /// Distance, in cells, from the start of one row to the start of the
+    /// next (`≥ cols`): the leading dimension of any window built over
+    /// [`SharedGrid::cell_ptr`].
+    #[inline]
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
     /// Read cell `(i, j)`.
     ///
     /// Caller must uphold the wavefront discipline (no concurrent writer).
@@ -125,7 +176,7 @@ impl<T: Copy> SharedGrid<T> {
     pub fn get(&self, i: usize, j: usize) -> T {
         debug_assert!(i < self.rows && j < self.cols, "SharedGrid read OOB");
         // SAFETY: module-level contract.
-        unsafe { *self.cells[i * self.cols + j].get() }
+        unsafe { *self.cells[i * self.stride + j].get() }
     }
 
     /// Write cell `(i, j)`.
@@ -135,26 +186,31 @@ impl<T: Copy> SharedGrid<T> {
     pub fn set(&self, i: usize, j: usize, v: T) {
         debug_assert!(i < self.rows && j < self.cols, "SharedGrid write OOB");
         // SAFETY: module-level contract.
-        unsafe { *self.cells[i * self.cols + j].get() = v }
+        unsafe { *self.cells[i * self.stride + j].get() = v }
     }
 
-    /// Copy the grid into a plain vector (row-major); only call when no task is
-    /// running.
+    /// Copy the grid into a plain vector (row-major, without padding); only
+    /// call when no task is running.
     pub fn snapshot(&self) -> Vec<T> {
-        (0..self.rows * self.cols)
-            .map(|idx| unsafe { *self.cells[idx].get() })
-            .collect()
+        let mut out = Vec::with_capacity(self.rows * self.cols);
+        for i in 0..self.rows {
+            let row = &self.cells[i * self.stride..i * self.stride + self.cols];
+            // SAFETY: module-level contract (no task is running).
+            out.extend(row.iter().map(|c| unsafe { *c.get() }));
+        }
+        out
     }
 
     /// Raw pointer to cell `(i, j)` of the row-major storage (row stride =
-    /// [`SharedGrid::cols`]).
+    /// [`SharedGrid::stride`], which may exceed [`SharedGrid::cols`]).
     ///
     /// This exists so schedule interpreters can rebuild typed window views
     /// (`MatRef`/`MatMut` via their `from_raw_parts`) over a block of the
     /// grid; all accesses through such views remain subject to the
     /// module-level wavefront contract.  The pointer is derived from the
     /// whole backing buffer, so it carries provenance for the *entire* grid —
-    /// a window built from it may stride across rows.
+    /// a window built from it may stride across rows, with leading
+    /// dimension [`SharedGrid::stride`].
     #[inline]
     pub fn cell_ptr(&self, i: usize, j: usize) -> *mut T {
         debug_assert!(i < self.rows && j < self.cols, "SharedGrid ptr OOB");
@@ -164,7 +220,7 @@ impl<T: Copy> SharedGrid<T> {
         // permitted because every cell is inside an `UnsafeCell`.
         let base = self.cells.as_ptr() as *mut T;
         // SAFETY: the index is in bounds by the debug_assert / construction.
-        unsafe { base.add(i * self.cols + j) }
+        unsafe { base.add(i * self.stride + j) }
     }
 }
 
@@ -327,6 +383,51 @@ mod tests {
         let back = g.into_vec();
         assert_eq!(back, vec![9, 2, 3, 4, 5, 77]);
         assert_eq!(back.capacity(), 32);
+    }
+
+    #[test]
+    fn strided_grid_addresses_rows_at_its_stride() {
+        // 3 × 4 cells in rows of 6: storage index = i · 6 + j.
+        let g = SharedGrid::from_vec_strided(3, 4, 6, (0..18u32).collect());
+        assert_eq!((g.rows(), g.cols(), g.stride()), (3, 4, 6));
+        for i in 0..3 {
+            for j in 0..4 {
+                assert_eq!(g.get(i, j), (i * 6 + j) as u32);
+                let offset = (g.cell_ptr(i, j) as usize - g.cell_ptr(0, 0) as usize) / 4;
+                assert_eq!(offset, i * 6 + j);
+            }
+        }
+        g.set(2, 3, 99);
+        // SAFETY: no other access to the grid is live.
+        assert_eq!(unsafe { *g.cell_ptr(2, 3) }, 99);
+        assert_eq!(
+            g.snapshot(),
+            vec![0, 1, 2, 3, 6, 7, 8, 9, 12, 13, 14, 99],
+            "the snapshot skips the padding"
+        );
+    }
+
+    #[test]
+    fn strided_into_vec_compacts_in_the_same_allocation() {
+        let mut v = Vec::with_capacity(40);
+        v.extend(0..24u64);
+        let g = SharedGrid::from_vec_strided(4, 5, 6, v);
+        g.set(3, 4, 1000);
+        let base = g.cell_ptr(0, 0).cast_const();
+        let back = g.into_vec();
+        assert_eq!(back.as_ptr(), base, "no second allocation");
+        assert_eq!(back.capacity(), 40);
+        let mut want: Vec<u64> = (0..4)
+            .flat_map(|i| (0..5).map(move |j| i * 6 + j))
+            .collect();
+        want[19] = 1000;
+        assert_eq!(back, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "stride below")]
+    fn grid_rejects_a_stride_below_its_width() {
+        let _ = SharedGrid::from_vec_strided(2, 3, 2, vec![0u8; 4]);
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl<S: IdempotentSemiring> DistWorkload for FwDist<S> {
         for (i, j) in owned_cells(placement, rank, n, n) {
             local.set(i, j, cells.next().expect("scatter covers every owned cell"));
         }
-        FwRun::from_plan(&local, Arc::clone(&self.compiled), self.base)
+        FwRun::from_owned(local, Arc::clone(&self.compiled), self.base)
     }
 
     fn run_step(&self, rank: usize, state: &mut FwRun<S>, job: &LeafCall) {

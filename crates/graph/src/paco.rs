@@ -92,14 +92,18 @@ impl<S: IdempotentSemiring> FwRun<S> {
     /// one compiled plan serves every `n × n` instance — this is what the
     /// service layer's skeleton cache shares across requests).
     pub fn from_plan(adj: &Matrix<S>, compiled: Arc<FwPlan>, base: usize) -> Self {
-        Self::from_owned(adj.clone(), compiled, base)
+        Self::over(FwTable::from_matrix(adj), compiled, base)
     }
 
     /// [`Self::from_plan`] over an owned matrix, whose allocation becomes the
-    /// table: the caller's copy is the only `n²` buffer the run holds.
+    /// table (see [`FwTable::from_owned`]): the caller's copy is the only
+    /// `n²` buffer the run holds.
     pub fn from_owned(adj: Matrix<S>, compiled: Arc<FwPlan>, base: usize) -> Self {
+        Self::over(FwTable::from_owned(adj), compiled, base)
+    }
+
+    fn over(table: FwTable<S>, compiled: Arc<FwPlan>, base: usize) -> Self {
         assert!(base >= 1);
-        let table = FwTable::from_owned(adj);
         let addr = FwAddr::new(table.n());
         Self {
             table,

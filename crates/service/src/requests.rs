@@ -161,7 +161,7 @@ impl<S: IdempotentSemiring> Solve for Closure<S> {
         let compiled = skeleton.payload().expect("skeleton compiled by Closure");
         Compiled::bound(
             skeleton,
-            FwRun::from_plan(&self.adj, compiled, tuning.fw_base),
+            FwRun::from_owned(self.adj, compiled, tuning.fw_base),
         )
     }
     fn bind_dist(

@@ -25,7 +25,8 @@
 //!   same recursion or plan through a tracker that only turns the fast
 //!   paths off — bit for bit, for sizes and bases that put every mask
 //!   width in some leaf, on non-integer weights with unreachable rows,
-//!   negative edges and a negative cycle, and on `BoolSemiring`.
+//!   negative edges and a negative cycle, and on `BoolSemiring`; and at
+//!   n = 256, where the table's rows are padded.
 //! * `mm_base` and `Session` `MatMul` over `MinPlus` and `BoolSemiring`
 //!   (the semiring `mm_block` leaves) against the generic loop.
 //! * The LCS [`base_block`] the same way: `NullTracker` runs the branch-free
@@ -226,6 +227,30 @@ fn dispatched_plans_match_the_portable_replay_bit_for_bit() {
                 assert_eq!(fast, portable, "Bool n = {n}, p = {p}, base = {base}");
             }
         }
+    }
+}
+
+/// At n = 256 a `MinPlus` row is 2 KiB, so the table's rows are padded to
+/// a stride of 264: the dispatched leaves build their windows at that
+/// stride, the portable replay addresses cells one by one.
+#[test]
+fn dispatched_closures_match_the_portable_replay_at_a_padded_n() {
+    let n = 256;
+    assert_eq!(FwTable::<MinPlus>::row_stride(n), n + 8);
+    let pool = WorkerPool::new(2);
+    for (kind, adj) in &hard_digraphs(n, 5000) {
+        let (fast, portable) = seq_both(adj, 32);
+        assert!(
+            minplus_bits(&fast) == minplus_bits(&portable),
+            "seq MinPlus {kind}, mode {}",
+            simd_mode()
+        );
+        let (fast, portable) = plan_both(adj, 2, 32, &pool);
+        assert!(
+            minplus_bits(&fast) == minplus_bits(&portable),
+            "p = 2 MinPlus {kind}, mode {}",
+            simd_mode()
+        );
     }
 }
 
